@@ -6,7 +6,7 @@ delta-hyperbolicity estimation, reconstruction metrics, a synthetic
 part-whole dataset, and a desk-scale embedding trainer.
 """
 
-from .chamfer import NNIndex, build_index, chamfer_distance, hyper_chamfer
+from .chamfer import NNIndex, chamfer_distance, hyper_chamfer
 from .cloud import CloudParseError, PointCloud, read_cloud, read_ply, read_xyz, write_xyz
 from .hyperbolicity import (
     DeltaReport,

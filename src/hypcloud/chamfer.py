@@ -63,11 +63,6 @@ class NNIndex:
         return idx, dist
 
 
-def build_index(cloud: PointCloud, workers: int = 1) -> NNIndex:
-    """Build an exact Euclidean nearest-neighbor index."""
-    return NNIndex(cloud, workers=workers)
-
-
 def euclidean_distance_matrix(xs: np.ndarray, ys: np.ndarray, chunk: int = 256) -> np.ndarray:
     """Dense pairwise Euclidean distances; per-entry symmetric construction."""
     xs = np.asarray(xs, dtype=np.float64)

@@ -17,7 +17,7 @@ from .poincare import BALL_EPS, Curvature, clip_to_ball, geodesic_distance_matri
 
 METRICS = ("euclidean", "hyperbolic")
 
-# Above this size the exhaustive all-bases four-point scan is skipped.
+# Above this size an exact pass skips the exhaustive all-bases four-point scan.
 FOUR_POINT_LIMIT = 256
 
 
@@ -48,7 +48,11 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class DeltaReport:
-    """Averaged delta estimate; delta_rel is 2*delta/diameter per batch."""
+    """Averaged delta estimate; delta_rel is 2*delta/diameter per batch.
+
+    base_point is the input row used as base in the last batch; four_point
+    (all bases) is set only by an exact pass over <= FOUR_POINT_LIMIT rows.
+    """
 
     delta: float
     diameter: float
@@ -135,6 +139,43 @@ def _heaviest_base(d: np.ndarray) -> int:
     return int(np.argmax(d.sum(axis=1)))
 
 
+def _sampled(n: int, submatrix, batch_size: int, n_batches: int, seed: int,
+             workers: int) -> DeltaReport:
+    """The batched protocol over n rows; `submatrix(pick)` returns the
+    DistanceMatrix of the rows in `pick`, so only the batches' are built."""
+    if batch_size < 4:
+        raise ValueError(f"batch_size must be >= 4, got {batch_size}")
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
+    exact = n <= batch_size
+    picks = [np.arange(n)]
+    if not exact:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(5,)))
+        picks = [np.sort(rng.choice(n, size=batch_size, replace=False)) for _ in range(n_batches)]
+    deltas, diams, rels = [], [], []
+    for pick in picks:
+        sub = submatrix(pick)
+        base = _heaviest_base(sub.d)
+        delta = gromov_delta(sub, base, workers=workers)
+        diam = float(sub.d.max())
+        deltas.append(delta)
+        diams.append(diam)
+        rels.append(2.0 * delta / diam if diam > 0 else 0.0)
+    four_point = None
+    if exact and n <= FOUR_POINT_LIMIT:
+        four_point = four_point_delta(sub, workers=workers)
+    return DeltaReport(
+        delta=float(np.mean(deltas)),
+        diameter=float(np.mean(diams)),
+        delta_rel=float(np.mean(rels)),
+        base_point=int(pick[base]),
+        batches=len(picks),
+        samples_per_batch=sub.n,
+        exact=exact,
+        four_point=four_point,
+    )
+
+
 def sampled_delta_matrix(
     dm: DistanceMatrix,
     batch_size: int = 1500,
@@ -148,42 +189,8 @@ def sampled_delta_matrix(
     all points is reported instead.  delta_rel is computed against each
     batch's own diameter, then averaged, so it stays scale-free per batch.
     """
-    if batch_size < 4:
-        raise ValueError(f"batch_size must be >= 4, got {batch_size}")
-    if n_batches < 1:
-        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
-    exact = dm.n <= batch_size
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(5,)))
-    deltas, diams, rels = [], [], []
-    base = 0
-    runs = 1 if exact else n_batches
-    size = dm.n if exact else batch_size
-    for _ in range(runs):
-        if exact:
-            sub = dm.d
-        else:
-            pick = np.sort(rng.choice(dm.n, size=batch_size, replace=False))
-            sub = dm.d[np.ix_(pick, pick)]
-        base = _heaviest_base(sub)
-        sub_dm = DistanceMatrix(sub)
-        delta = gromov_delta(sub_dm, base, workers=workers)
-        diam = float(sub.max())
-        deltas.append(delta)
-        diams.append(diam)
-        rels.append(2.0 * delta / diam if diam > 0 else 0.0)
-    four_point = None
-    if size <= FOUR_POINT_LIMIT:
-        four_point = four_point_delta(DistanceMatrix(sub), workers=workers)
-    return DeltaReport(
-        delta=float(np.mean(deltas)),
-        diameter=float(np.mean(diams)),
-        delta_rel=float(np.mean(rels)),
-        base_point=base,
-        batches=runs,
-        samples_per_batch=size,
-        exact=exact,
-        four_point=four_point,
-    )
+    return _sampled(dm.n, lambda pick: DistanceMatrix(dm.d[np.ix_(pick, pick)]),
+                    batch_size, n_batches, seed, workers)
 
 
 def sampled_delta(
@@ -196,7 +203,12 @@ def sampled_delta(
     eps: float = BALL_EPS,
     workers: int = 1,
 ) -> DeltaReport:
-    """Batched delta estimate straight from points under the chosen metric."""
-    dm = pairwise_distances(points, metric, curv=curv, eps=eps, workers=workers)
-    return sampled_delta_matrix(dm, batch_size=batch_size, n_batches=n_batches,
-                                seed=seed, workers=workers)
+    """Batched delta estimate straight from points under the chosen metric.
+
+    Equals `sampled_delta_matrix(pairwise_distances(points, ...), ...)`
+    bit-exactly, but computes only the distances of the sampled rows.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    return _sampled(len(points), lambda pick: pairwise_distances(
+        points[pick], metric, curv=curv, eps=eps, workers=workers),
+        batch_size, n_batches, seed, workers)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -21,10 +22,13 @@ from .poincare import (
     clip_vjp,
     geodesic_distance,
     geodesic_distance_grad,
+    geodesic_distances,
     hyperbolic_norm,
     hyperbolic_norm_grad,
+    hyperbolic_norms,
     log_map_origin,
     log_map_origin_vjp,
+    log_maps_origin,
 )
 
 # Keeps the produced margin strictly inside (0, gamma0) even when the
@@ -35,14 +39,12 @@ REG_SPACES = ("hyperbolic", "euclidean")
 TRIPLET_METRICS = ("tangent", "geodesic")
 
 
-def sigmoid(a: float) -> float:
-    """Numerically stable logistic, clipped away from exact 0 and 1."""
-    if a >= 0:
-        s = 1.0 / (1.0 + math.exp(-a))
-    else:
-        e = math.exp(a)
-        s = e / (1.0 + e)
-    return min(max(s, SIGMOID_CLIP), 1.0 - SIGMOID_CLIP)
+def sigmoid(a):
+    """Numerically stable elementwise logistic, clipped away from exact 0 and 1."""
+    a = np.asarray(a, dtype=np.float64)
+    e = np.exp(-np.abs(a))
+    s = np.where(a >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.clip(s, SIGMOID_CLIP, 1.0 - SIGMOID_CLIP)
 
 
 @dataclass
@@ -89,7 +91,7 @@ def adaptive_margin(p_feat: np.ndarray, w_feat: np.ndarray, head: MarginHead) ->
     if feats.shape[0] != head.weights.shape[0]:
         raise ValueError(
             f"feature dimension {feats.shape[0]} does not match head width {head.weights.shape[0]}")
-    return head.gamma0 * sigmoid(float(head.weights @ feats) + head.bias)
+    return float(head.gamma0 * sigmoid(float(head.weights @ feats) + head.bias))
 
 
 def reg_loss(part_emb: BallPoint, whole_emb: BallPoint, gamma: float, n_points: int) -> float:
@@ -172,14 +174,6 @@ class GradientBundle:
     report: LossReport
 
 
-def _norm_and_grad(emb: np.ndarray, curv: Curvature, reg_space: str):
-    if reg_space == "hyperbolic":
-        return hyperbolic_norm(BallPoint(emb, curv)), hyperbolic_norm_grad(emb, curv)
-    r = float(np.linalg.norm(emb))
-    grad = emb / r if r > 0 else np.zeros_like(emb)
-    return r, grad
-
-
 def loss_gradients(
     batch: LossBatch,
     state,
@@ -196,7 +190,11 @@ def loss_gradients(
     (a MarginHead).  The trainable vectors double as the margin head's input
     features.  Hinge subgradients are zero at kinks; the ball projection
     contributes the identity inside the margin radius and the exact Jacobian
-    of the radial rescaling outside it.
+    of the radial rescaling outside it.  A sample gets a gradient entry iff
+    it appears in at least one hinge-active example.
+
+    The batch's rows are gathered once; every example is evaluated at once
+    on them, and per-example gradients are scattered back onto the rows.
     """
     if reg_space not in REG_SPACES:
         raise ValueError(f"reg_space must be one of {REG_SPACES}, got {reg_space!r}")
@@ -204,95 +202,77 @@ def loss_gradients(
         raise ValueError(f"triplet_metric must be one of {TRIPLET_METRICS}, got {triplet_metric!r}")
     if not batch.pairs and not batch.triplets:
         raise ValueError("loss batch is empty")
-    table = state.table
     head = state.head
-    dim = next(iter(table.values())).shape[0]
+    pair_ids = [(e.part_id, e.whole_id) for e in batch.pairs]
+    trip_ids = [(e.whole_id, e.pos_id, e.neg_id) for e in batch.triplets]
+    ids = list(dict.fromkeys(sid for example in pair_ids + trip_ids for sid in example))
+    row = {sid: i for i, sid in enumerate(ids)}
+    pairs = np.array([[row[s] for s in ex] for ex in pair_ids], dtype=np.intp).reshape(-1, 2)
+    trips = np.array([[row[s] for s in ex] for ex in trip_ids], dtype=np.intp).reshape(-1, 3)
+    theta = np.stack([state.table[sid] for sid in ids])
+    dim = theta.shape[1]
     if batch.pairs and head.weights.shape[0] != 2 * dim:
         raise ValueError(
             f"head width {head.weights.shape[0]} does not match embedding dim {dim} (need 2*dim)")
+    emb = clip_to_ball(theta, curv, eps)
+    g_emb = np.zeros_like(theta)    # gradient wrt the clipped rows
+    g_theta = np.zeros_like(theta)  # gradient reaching theta directly (head features)
+    touched = np.zeros(len(ids), dtype=bool)
 
-    grads: dict[str, np.ndarray] = {}
-    gw = np.zeros_like(head.weights)
-    gb = 0.0
+    def scatter(grad, terms, on, scale):
+        for idx, g in terms:
+            np.add.at(grad, idx[on], scale * g[on])
+            touched[idx[on]] = True
 
-    def accumulate(sid: str, g: np.ndarray):
-        if sid in grads:
-            grads[sid] += g
+    l_z, gw, gb = 0.0, np.zeros_like(head.weights), 0.0
+    if batch.pairs:
+        p, w = pairs[:, 0], pairs[:, 1]
+        n_points = np.array([e.n_points for e in batch.pairs], dtype=np.float64)
+        if reg_space == "hyperbolic":
+            h, dh = hyperbolic_norms(emb, curv), hyperbolic_norm_grad(emb, curv)
         else:
-            grads[sid] = g.copy()
+            h = np.linalg.norm(emb, axis=-1)
+            dh = emb / np.where(h > 0.0, h, 1.0)[:, None]
+        feats = np.concatenate([theta[p], theta[w]], axis=1)
+        sig = sigmoid(feats @ head.weights + head.bias)
+        val = -h[w] + h[p] + head.gamma0 * sig / n_points
+        on = val > 0.0
+        l_z = float(val[on].sum()) / len(batch.pairs)
+        scale = 1.0 / len(batch.pairs)
+        scatter(g_emb, ((p, dh[p]), (w, -dh[w])), on, scale)
+        dsig = (head.gamma0 * sig * (1.0 - sig) / n_points)[:, None]
+        scatter(g_theta, ((p, dsig * head.weights[:dim]), (w, dsig * head.weights[dim:])), on, scale)
+        gw = scale * (dsig[on] * feats[on]).sum(axis=0)
+        gb = scale * float(dsig[on].sum())
 
-    lz_sum = 0.0
-    n_pairs = len(batch.pairs)
-    for pair in batch.pairs:
-        theta_p = table[pair.part_id]
-        theta_w = table[pair.whole_id]
-        emb_p = clip_to_ball(theta_p, curv, eps)
-        emb_w = clip_to_ball(theta_w, curv, eps)
-        feats = np.concatenate([theta_p, theta_w])
-        act = float(head.weights @ feats) + head.bias
-        sig = sigmoid(act)
-        gamma = head.gamma0 * sig
-        h_p, dh_p = _norm_and_grad(emb_p, curv, reg_space)
-        h_w, dh_w = _norm_and_grad(emb_w, curv, reg_space)
-        val = -h_w + h_p + gamma / pair.n_points
-        if val <= 0.0:
-            continue
-        lz_sum += val
-        scale = 1.0 / n_pairs
-        accumulate(pair.part_id, scale * clip_vjp(dh_p, theta_p, curv, eps))
-        accumulate(pair.whole_id, scale * clip_vjp(-dh_w, theta_w, curv, eps))
-        dsig = head.gamma0 * sig * (1.0 - sig) / pair.n_points
-        gw += (scale * dsig) * feats
-        gb += scale * dsig
-        accumulate(pair.part_id, (scale * dsig) * head.weights[:dim])
-        accumulate(pair.whole_id, (scale * dsig) * head.weights[dim:])
-
-    lt_sum = 0.0
-    n_triplets = len(batch.triplets)
-    for trip in batch.triplets:
-        theta = {sid: table[sid] for sid in (trip.whole_id, trip.pos_id, trip.neg_id)}
-        emb = {sid: clip_to_ball(t, curv, eps) for sid, t in theta.items()}
+    l_t = 0.0
+    if batch.triplets:
+        a, pos, neg = trips[:, 0], trips[:, 1], trips[:, 2]
         if triplet_metric == "tangent":
-            tan = {sid: log_map_origin(BallPoint(e, curv)).coords for sid, e in emb.items()}
-            diff_pos = tan[trip.whole_id] - tan[trip.pos_id]
-            diff_neg = tan[trip.whole_id] - tan[trip.neg_id]
-            d_pos = float(np.linalg.norm(diff_pos))
-            d_neg = float(np.linalg.norm(diff_neg))
-            val = d_pos - d_neg + margin_eps
-            if val <= 0.0:
-                continue
-            lt_sum += val
-            u_pos = diff_pos / d_pos if d_pos > 0 else np.zeros(dim)
-            u_neg = diff_neg / d_neg if d_neg > 0 else np.zeros(dim)
-            tangent_grads = {
-                trip.whole_id: u_pos - u_neg,
-                trip.pos_id: -u_pos,
-                trip.neg_id: u_neg,
-            }
-            scale = 1.0 / n_triplets
-            for sid, g_t in tangent_grads.items():
-                g_e = log_map_origin_vjp(g_t, emb[sid], curv)
-                accumulate(sid, scale * clip_vjp(g_e, theta[sid], curv, eps))
+            tan = log_maps_origin(emb, curv)
+            diff_pos, diff_neg = tan[a] - tan[pos], tan[a] - tan[neg]
+            d_pos = np.linalg.norm(diff_pos, axis=-1)
+            d_neg = np.linalg.norm(diff_neg, axis=-1)
+            u_pos = diff_pos / np.where(d_pos > 0.0, d_pos, 1.0)[:, None]
+            u_neg = diff_neg / np.where(d_neg > 0.0, d_neg, 1.0)[:, None]
+            g_a = log_map_origin_vjp(u_pos - u_neg, emb[a], curv)
+            g_pos = log_map_origin_vjp(-u_pos, emb[pos], curv)
+            g_neg = log_map_origin_vjp(u_neg, emb[neg], curv)
         else:
-            e_w, e_p, e_n = emb[trip.whole_id], emb[trip.pos_id], emb[trip.neg_id]
-            d_pos = geodesic_distance(BallPoint(e_w, curv), BallPoint(e_p, curv))
-            d_neg = geodesic_distance(BallPoint(e_w, curv), BallPoint(e_n, curv))
-            val = d_pos - d_neg + margin_eps
-            if val <= 0.0:
-                continue
-            lt_sum += val
-            gpx, gpy = geodesic_distance_grad(e_w, e_p, curv)
-            gnx, gny = geodesic_distance_grad(e_w, e_n, curv)
-            ball_grads = {trip.whole_id: gpx - gnx, trip.pos_id: gpy, trip.neg_id: -gny}
-            scale = 1.0 / n_triplets
-            for sid, g_e in ball_grads.items():
-                accumulate(sid, scale * clip_vjp(g_e, theta[sid], curv, eps))
+            d_pos = geodesic_distances(emb[a], emb[pos], curv)
+            d_neg = geodesic_distances(emb[a], emb[neg], curv)
+            gpx, g_pos = geodesic_distance_grad(emb[a], emb[pos], curv)
+            gnx, gny = geodesic_distance_grad(emb[a], emb[neg], curv)
+            g_a, g_neg = gpx - gnx, -gny
+        val = d_pos - d_neg + margin_eps
+        on = val > 0.0
+        l_t = float(val[on].sum()) / len(batch.triplets)
+        scatter(g_emb, ((a, g_a), (pos, g_pos), (neg, g_neg)), on, 1.0 / len(batch.triplets))
 
-    report = total_loss(
-        lz_sum / n_pairs if n_pairs else 0.0,
-        lt_sum / n_triplets if n_triplets else 0.0,
-    )
-    return GradientBundle(embeddings=grads, head_weights=gw, head_bias=gb, report=report)
+    grad = clip_vjp(g_emb, theta, curv, eps) + g_theta
+    return GradientBundle(
+        embeddings={ids[i]: grad[i] for i in np.flatnonzero(touched)},
+        head_weights=gw, head_bias=gb, report=total_loss(l_z, l_t))
 
 
 # --- finite-difference verification ----------------------------------------
@@ -317,14 +297,6 @@ def grad_check(fn, grad: np.ndarray, point: np.ndarray, h: float = 1e-6) -> floa
         central = (fn(point + shift) - fn(point - shift)) / (2.0 * h)
         worst = max(worst, abs(grad[j] - central) / max(1.0, abs(central)))
     return worst
-
-
-class _FrozenState:
-    """Minimal stand-in for an embedding state in the check harness."""
-
-    def __init__(self, table: dict[str, np.ndarray], head: MarginHead):
-        self.table = table
-        self.head = head
 
 
 def _interior_point(rng: np.random.Generator, dim: int, curv: Curvature) -> np.ndarray:
@@ -373,7 +345,7 @@ def gradient_check_cases(
             for _ in range(200):
                 theta_p = _interior_point(rng, dim, curv)
                 theta_w = _interior_point(rng, dim, curv)
-                state = _FrozenState({"p": theta_p, "w": theta_w}, head)
+                state = SimpleNamespace(table={"p": theta_p, "w": theta_w}, head=head)
                 batch = LossBatch(pairs=(PairExample("p", "w", n_points),))
                 bundle = loss_gradients(batch, state, curv)
                 if bundle.report.l_z > 1e-3:
@@ -384,7 +356,7 @@ def gradient_check_cases(
 
             def fn(v, dim=dim, curv=curv, head=head, n_points=n_points):
                 trial_head = MarginHead(v[2 * dim:4 * dim], float(v[4 * dim]), head.gamma0)
-                trial = _FrozenState({"p": v[:dim], "w": v[dim:2 * dim]}, trial_head)
+                trial = SimpleNamespace(table={"p": v[:dim], "w": v[dim:2 * dim]}, head=trial_head)
                 out = loss_gradients(
                     LossBatch(pairs=(PairExample("p", "w", n_points),)), trial, curv)
                 return out.report.l_z
@@ -393,7 +365,7 @@ def gradient_check_cases(
         else:
             theta = [_interior_point(rng, dim, curv) for _ in range(3)]
             head = MarginHead.zeros(2 * dim, 1.0)
-            state = _FrozenState({"w": theta[0], "p": theta[1], "n": theta[2]}, head)
+            state = SimpleNamespace(table={"w": theta[0], "p": theta[1], "n": theta[2]}, head=head)
             t = {k: log_map_origin(BallPoint(clip_to_ball(v, curv), curv)).coords
                  for k, v in state.table.items()}
             d_pos = float(np.linalg.norm(t["w"] - t["p"]))
@@ -404,8 +376,8 @@ def gradient_check_cases(
             analytic = np.concatenate([bundle.embeddings[k] for k in ("w", "p", "n")])
 
             def fn(v, dim=dim, curv=curv, head=head, margin=margin):
-                trial = _FrozenState(
-                    {"w": v[:dim], "p": v[dim:2 * dim], "n": v[2 * dim:]}, head)
+                trial = SimpleNamespace(
+                    table={"w": v[:dim], "p": v[dim:2 * dim], "n": v[2 * dim:]}, head=head)
                 out = loss_gradients(
                     LossBatch(triplets=(TripletExample("w", "p", "n"),)), trial, curv,
                     margin_eps=margin)

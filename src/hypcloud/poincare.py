@@ -49,10 +49,10 @@ class BallPoint:
         coords = np.asarray(self.coords, dtype=np.float64)
         if coords.ndim != 1:
             raise ValueError(f"BallPoint coords must be a 1-D vector, got shape {coords.shape}")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("BallPoint coords must be finite")
-        c = self.curvature.c
-        if c * float(coords @ coords) >= 1.0:
+        # One test rejects both: non-finite coords make c|x|^2 nan or inf.
+        if not self.curvature.c * float(coords @ coords) < 1.0:
+            if not np.isfinite(coords).all():
+                raise ValueError("BallPoint coords must be finite")
             raise ValueError(
                 f"point with norm {np.linalg.norm(coords)} lies outside the ball "
                 f"of radius {self.curvature.ball_radius}"
@@ -138,45 +138,26 @@ def mobius_add(z: BallPoint, x: BallPoint, eps: float = BALL_EPS) -> BallPoint:
     raw = _mobius_raw(z.coords, x.coords, c)
     # Floating-point error can push near-boundary results onto or past the
     # boundary; clip only in that case so interior results stay untouched.
-    if not np.all(np.isfinite(raw)) or c * float(raw @ raw) >= 1.0:
+    if not np.isfinite(raw).all() or c * float(raw @ raw) >= 1.0:
         raw = clip_to_ball(raw, z.curvature, eps)
     return BallPoint(raw, z.curvature)
 
 
 def log_map_origin(x: BallPoint) -> TangentVector:
     """Logarithmic map at the origin: (1/sqrt(c)) arctanh(sqrt(c)|x|) x/|x|."""
-    c = x.curvature.c
-    r = float(np.linalg.norm(x.coords))
-    if r == 0.0:
-        return TangentVector(np.zeros_like(x.coords))
-    sc = math.sqrt(c)
-    scale = math.atanh(sc * r) / (sc * r)
-    return TangentVector(scale * x.coords)
+    return TangentVector(log_maps_origin(x.coords, x.curvature))
 
 
 def geodesic_distance(x: BallPoint, y: BallPoint) -> float:
     """Ball geodesic distance (2/sqrt(c)) arctanh(sqrt(c) |(-x)(+)y|)."""
     if x.curvature != y.curvature:
         raise ValueError(f"curvature mismatch: {x.curvature} vs {y.curvature}")
-    if np.array_equal(x.coords, y.coords):
-        return 0.0
-    c = x.curvature.c
-    m = mobius_add(BallPoint(-x.coords, x.curvature), y)
-    sc = math.sqrt(c)
-    arg = sc * float(np.linalg.norm(m.coords))
-    if arg >= 1.0:
-        raise NumericalDomainError(f"arctanh argument {arg} >= 1 for valid ball points")
-    return (2.0 / sc) * math.atanh(arg)
+    return float(geodesic_distances(x.coords, y.coords, x.curvature))
 
 
 def hyperbolic_norm(x: BallPoint) -> float:
     """Geodesic distance from the origin; the hierarchy-level scalar."""
-    c = x.curvature.c
-    sc = math.sqrt(c)
-    arg = sc * float(np.linalg.norm(x.coords))
-    if arg >= 1.0:
-        raise NumericalDomainError(f"arctanh argument {arg} >= 1 for a valid ball point")
-    return (2.0 / sc) * math.atanh(arg)
+    return float(hyperbolic_norms(x.coords, x.curvature))
 
 
 def conformal_factor(z: BallPoint) -> float:
@@ -185,9 +166,11 @@ def conformal_factor(z: BallPoint) -> float:
     return 2.0 / (1.0 - c * float(z.coords @ z.coords))
 
 
-# --- batched helpers -------------------------------------------------------
+# --- row kernels -----------------------------------------------------------
 #
-# The pairwise geodesic matrix uses the closed form
+# Each quantity is computed once, over the last axis of (d,) or (n, d) rows;
+# the scalar BallPoint functions above are views of these kernels.  The ball
+# distance uses the closed form
 #     |(-x)(+)y|^2 = |x - y|^2 / (1 - 2c<x,y> + c^2 |x|^2 |y|^2)
 # built from elementwise operations only, so D(X, Y) == D(Y, X).T bit-exactly.
 
@@ -197,9 +180,35 @@ def hyperbolic_norms(xs: np.ndarray, curv: Curvature) -> np.ndarray:
     xs = np.asarray(xs, dtype=np.float64)
     sc = math.sqrt(curv.c)
     args = sc * np.linalg.norm(xs, axis=-1)
-    if np.any(args >= 1.0):
+    if np.count_nonzero(args >= 1.0):
         raise NumericalDomainError("a row lies on or outside the ball boundary")
     return (2.0 / sc) * np.arctanh(args)
+
+
+def log_maps_origin(xs: np.ndarray, curv: Curvature) -> np.ndarray:
+    """Row-wise origin log map of ball coordinates; the origin maps to itself."""
+    xs = np.asarray(xs, dtype=np.float64)
+    args = math.sqrt(curv.c) * np.linalg.norm(xs, axis=-1, keepdims=True)
+    return xs * np.where(args > 0.0, np.arctanh(args) / np.where(args > 0.0, args, 1.0), 1.0)
+
+
+def geodesic_distances(xs: np.ndarray, ys: np.ndarray, curv: Curvature) -> np.ndarray:
+    """Geodesic distances between paired ball coordinate rows.
+
+    Leading axes broadcast, so `geodesic_distances(xs[:, None], ys[None], curv)`
+    is the pairwise matrix.  The distance of a row to itself is exactly zero.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    c = curv.c
+    sc = math.sqrt(c)
+    dot = (xs * ys).sum(axis=-1)
+    sq = ((xs - ys) ** 2).sum(axis=-1)
+    den = (1.0 - (2.0 * c) * dot) + (c * c) * ((xs * xs).sum(axis=-1) * (ys * ys).sum(axis=-1))
+    arg = sc * np.sqrt(sq / den)
+    if np.count_nonzero(arg >= 1.0):
+        raise NumericalDomainError("arctanh argument >= 1; input rows must lie inside the ball")
+    return (2.0 / sc) * np.arctanh(arg)
 
 
 def geodesic_distance_matrix(
@@ -217,20 +226,9 @@ def geodesic_distance_matrix(
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    c = curv.c
-    sc = math.sqrt(c)
-    x2 = (xs * xs).sum(axis=-1)
-    y2 = (ys * ys).sum(axis=-1)
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        xc = xs[lo:hi]
-        dot = (xc[:, None, :] * ys[None, :, :]).sum(axis=-1)
-        sq = ((xc[:, None, :] - ys[None, :, :]) ** 2).sum(axis=-1)
-        den = (1.0 - (2.0 * c) * dot) + (c * c) * (x2[lo:hi, None] * y2[None, :])
-        arg = sc * np.sqrt(sq / den)
-        if np.any(arg >= 1.0):
-            raise NumericalDomainError("arctanh argument >= 1; input rows must lie inside the ball")
-        return (2.0 / sc) * np.arctanh(arg)
+        return geodesic_distances(xs[lo:hi, None, :], ys[None, :, :], curv)
 
     return _map_row_chunks(rows, xs.shape[0], ys.shape[0], chunk, workers)
 
@@ -256,16 +254,20 @@ def _map_row_chunks(fn, n_rows: int, n_cols: int, chunk: int, workers: int) -> n
 
 
 # --- analytic derivatives --------------------------------------------------
+#
+# Each takes (d,) or (n, d) rows and returns the per-row result.
+
+
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a * b).sum(axis=-1, keepdims=True)
 
 
 def hyperbolic_norm_grad(x: np.ndarray, curv: Curvature) -> np.ndarray:
     """Gradient of hyperbolic_norm at ball coordinates x (zero at the origin)."""
     x = np.asarray(x, dtype=np.float64)
     c = curv.c
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return np.zeros_like(x)
-    return (2.0 / ((1.0 - c * r * r) * r)) * x
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    return (2.0 / ((1.0 - c * r * r) * np.where(r > 0.0, r, 1.0))) * x
 
 
 def log_map_origin_vjp(upstream: np.ndarray, x: np.ndarray, curv: Curvature) -> np.ndarray:
@@ -275,15 +277,15 @@ def log_map_origin_vjp(upstream: np.ndarray, x: np.ndarray, curv: Curvature) -> 
     g(r) = arctanh(sqrt(c) r) / (sqrt(c) r); at x = 0 it is the identity.
     """
     x = np.asarray(x, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
     c = curv.c
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return np.array(upstream, dtype=np.float64, copy=True)
     sc = math.sqrt(c)
-    at = math.atanh(sc * r)
-    g = at / (sc * r)
-    gp = (r / (1.0 - c * r * r) - at / sc) / (r * r)
-    return g * upstream + (gp / r) * float(x @ upstream) * x
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    safe = np.where(r > 0.0, r, 1.0)
+    at = np.arctanh(sc * r)
+    g = np.where(r > 0.0, at / (sc * safe), 1.0)
+    gp = (r / (1.0 - c * r * r) - at / sc) / (safe * safe)
+    return g * upstream + (gp / safe) * _row_dot(x, upstream) * x
 
 
 def clip_vjp(upstream: np.ndarray, x: np.ndarray, curv: Curvature, eps: float = BALL_EPS) -> np.ndarray:
@@ -293,12 +295,13 @@ def clip_vjp(upstream: np.ndarray, x: np.ndarray, curv: Curvature, eps: float = 
     radial rescaling (rho/r)(I - xhat xhat^T) on or outside it.
     """
     x = np.asarray(x, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
     rho = (1.0 - eps) * curv.ball_radius
-    r = float(np.linalg.norm(x))
-    if r < rho:
-        return np.array(upstream, dtype=np.float64, copy=True)
+    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    outside = r >= rho
+    r = np.where(outside, r, 1.0)
     xhat = x / r
-    return (rho / r) * (upstream - float(xhat @ upstream) * xhat)
+    return np.where(outside, (rho / r) * (upstream - _row_dot(xhat, upstream) * xhat), upstream)
 
 
 def geodesic_distance_grad(
@@ -314,14 +317,12 @@ def geodesic_distance_grad(
     y = np.asarray(y, dtype=np.float64)
     c = curv.c
     diff = x - y
-    q = float(diff @ diff)
-    if q == 0.0:
-        return np.zeros_like(x), np.zeros_like(y)
-    x2 = float(x @ x)
-    y2 = float(y @ y)
-    den = 1.0 - 2.0 * c * float(x @ y) + c * c * x2 * y2
-    s = math.sqrt(q / den)
-    pref = 2.0 / ((1.0 - c * s * s) * s * den * den)
+    q = _row_dot(diff, diff)
+    x2 = _row_dot(x, x)
+    y2 = _row_dot(y, y)
+    den = 1.0 - 2.0 * c * _row_dot(x, y) + c * c * x2 * y2
+    s = np.sqrt(q / den)
+    pref = 2.0 / np.where(q > 0.0, (1.0 - c * s * s) * s * den * den, np.inf)
     gx = pref * (diff * den - q * (c * c * y2 * x - c * y))
     gy = pref * (-diff * den - q * (c * c * x2 * y - c * x))
     return gx, gy

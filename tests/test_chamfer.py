@@ -5,8 +5,8 @@ import pytest
 
 from hypcloud import (
     Curvature,
+    NNIndex,
     PointCloud,
-    build_index,
     chamfer_distance,
     geodesic_distance,
     hyper_chamfer,
@@ -31,7 +31,7 @@ def loop_nn_oracle(data, queries):
 # --- index -------------------------------------------------------------------
 
 def test_index_single_point():
-    idx = build_index(cloud([[1.0, 2.0, 3.0]]))
+    idx = NNIndex(cloud([[1.0, 2.0, 3.0]]))
     i, d = idx.query(np.array([5.0, 2.0, 3.0]))
     assert i == 0 and d == 4.0
     i, d = idx.query(np.array([1.0, 2.0, 3.0]))
@@ -42,7 +42,7 @@ def test_index_matches_bruteforce():
     rng = np.random.default_rng(1)
     data = rng.normal(size=(2048, 3))
     queries = rng.normal(size=(1024, 3))
-    idx = build_index(cloud(data))
+    idx = NNIndex(cloud(data))
     got_i, got_d = idx.query(queries)
     want_i, want_d = loop_nn_oracle(data, queries)
     assert np.array_equal(got_i, want_i)
@@ -51,7 +51,7 @@ def test_index_matches_bruteforce():
 
 def test_index_tie_breaks_to_lowest_index():
     data = np.array([[0.0, 0, 0], [1, 0, 0], [1, 0, 0], [0, 0, 0]])
-    idx = build_index(cloud(data))
+    idx = NNIndex(cloud(data))
     i, d = idx.query(np.array([[0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     assert list(i) == [0, 1, 0]
     assert np.allclose(d, [0.5, 0.0, 0.0])
@@ -59,7 +59,7 @@ def test_index_tie_breaks_to_lowest_index():
 
 def test_index_rejects_empty():
     with pytest.raises(ValueError):
-        build_index(np.zeros((0, 3)))
+        NNIndex(np.zeros((0, 3)))
 
 
 # --- euclidean chamfer -------------------------------------------------------

@@ -142,6 +142,8 @@ def test_sampled_tree_metric_near_zero():
         report = sampled_delta_matrix(dm, batch_size=16, n_batches=4, seed=seed)
         assert report.delta <= 1e-9
         assert not report.exact
+        # the exhaustive scan runs on an exact pass only
+        assert report.four_point is None
 
 
 def test_sampled_deterministic():
@@ -183,3 +185,24 @@ def test_sampled_validation():
         sampled_delta(pts, batch_size=3)
     with pytest.raises(ValueError):
         sampled_delta(pts, n_batches=0)
+
+
+def test_sampled_base_point_is_input_row():
+    rng = np.random.default_rng(10)
+    dm = pairwise_distances(rng.normal(size=(300, 3)))
+    report = sampled_delta_matrix(dm, batch_size=40, n_batches=3, seed=2)
+    # replay the protocol's seeded draws up to the last batch
+    draws = np.random.default_rng(np.random.SeedSequence(entropy=2, spawn_key=(5,)))
+    for _ in range(3):
+        pick = np.sort(draws.choice(300, size=40, replace=False))
+    assert report.base_point == pick[np.argmax(dm.d[np.ix_(pick, pick)].sum(axis=1))]
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "hyperbolic"])
+def test_sampled_delta_matches_full_matrix(metric, curv014):
+    # sub-matrices built from the sampled rows equal slices of the full matrix
+    pts = np.random.default_rng(11).normal(size=(80, 3))
+    full = pairwise_distances(pts, metric, curv=curv014)
+    for batch_size in (20, 100):
+        got = sampled_delta(pts, metric, batch_size=batch_size, n_batches=3, seed=4, curv=curv014)
+        assert got == sampled_delta_matrix(full, batch_size=batch_size, n_batches=3, seed=4)

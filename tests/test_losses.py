@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from hypcloud import (
     total_loss,
     triplet_loss,
 )
-from hypcloud.losses import _FrozenState
 
 from conftest import random_ball_points
 
@@ -139,7 +139,7 @@ def make_state(rng, ids, dim, curv, gamma0=50.0):
     pts = random_ball_points(rng, len(ids), dim, curv, max_frac=0.6)
     table = {sid: pts[i] for i, sid in enumerate(ids)}
     head = MarginHead(rng.normal(scale=0.2, size=2 * dim), float(rng.normal(scale=0.2)), gamma0)
-    return _FrozenState(table, head)
+    return SimpleNamespace(table=table, head=head)
 
 
 def test_loss_gradients_inactive_hinges_zero(unit_curv):
@@ -183,6 +183,51 @@ def test_loss_gradients_match_scalar_ops(unit_curv):
                        gamma, 5)
     want_lt = triplet_loss(ball(state.table["w"], unit_curv), ball(state.table["p"], unit_curv),
                            ball(state.table["n"], unit_curv), 2.0)
+    assert bundle.report.l_z == pytest.approx(want_lz, rel=1e-14)
+    assert bundle.report.l_t == pytest.approx(want_lt, rel=1e-14)
+
+
+@pytest.mark.parametrize("reg_space", ["hyperbolic", "euclidean"])
+@pytest.mark.parametrize("triplet_metric", ["tangent", "geodesic"])
+def test_loss_gradients_scatter_matches_per_example(unit_curv, reg_space, triplet_metric):
+    # repeated ids: the batch's scatter equals the per-example calls combined
+    rng = np.random.default_rng(5)
+    state = make_state(rng, ["a", "b", "c", "d", "e", "f"], 3, unit_curv, gamma0=0.5)
+    state.table["e"] = np.array([3.0, 0.0, 0.0])   # beyond the clip margin
+    # g and h appear only in examples whose hinges are inactive
+    state.table["g"] = np.array([0.01, 0.0, 0.0])
+    state.table["h"] = np.array([0.9, 0.0, 0.0])
+    pairs = [PairExample(p, w, n) for p, w, n in
+             [("a", "b", 1), ("a", "c", 2), ("d", "b", 1), ("a", "b", 3), ("c", "e", 1),
+              ("e", "f", 1), ("f", "d", 2), ("g", "h", 1)]]
+    trips = [TripletExample(w, p, n) for w, p, n in
+             [("a", "b", "c"), ("b", "a", "e"), ("a", "b", "d"), ("e", "c", "a"),
+              ("d", "f", "b"), ("c", "a", "b"), ("f", "e", "a"), ("g", "g", "h")]]
+    kw = dict(margin_eps=0.3, reg_space=reg_space, triplet_metric=triplet_metric)
+    bundle = loss_gradients(LossBatch(pairs, trips), state, unit_curv, **kw)
+
+    want, active = {}, set()
+    want_w, want_b, want_lz, want_lt = 0.0, 0.0, 0.0, 0.0
+    for ex in pairs + trips:
+        is_pair = isinstance(ex, PairExample)
+        one = loss_gradients(LossBatch(pairs=[ex] if is_pair else [],
+                                       triplets=[] if is_pair else [ex]), state, unit_curv, **kw)
+        n = len(pairs) if is_pair else len(trips)
+        ids = {ex.part_id, ex.whole_id} if is_pair else {ex.whole_id, ex.pos_id, ex.neg_id}
+        for sid, g in one.embeddings.items():
+            want[sid] = want.get(sid, 0.0) + g / n
+        want_w = want_w + one.head_weights / n
+        want_b += one.head_bias / n
+        want_lz += one.report.l_z / n
+        want_lt += one.report.l_t / n
+        if one.report.total > 0:
+            active |= ids
+    assert active == set("abcdef")
+    assert bundle.embeddings.keys() == want.keys() == active
+    for sid, g in want.items():
+        assert np.abs(bundle.embeddings[sid] - g).max() <= 1e-14 * np.abs(g).max()
+    assert np.abs(bundle.head_weights - want_w).max() <= 1e-14 * np.abs(want_w).max()
+    assert bundle.head_bias == pytest.approx(want_b, rel=1e-14)
     assert bundle.report.l_z == pytest.approx(want_lz, rel=1e-14)
     assert bundle.report.l_t == pytest.approx(want_lt, rel=1e-14)
 

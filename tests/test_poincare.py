@@ -19,7 +19,12 @@ from hypcloud import (
     mobius_add,
     project_to_ball,
 )
-from hypcloud.poincare import clip_vjp, geodesic_distance_grad, hyperbolic_norm_grad
+from hypcloud.poincare import (
+    clip_vjp,
+    geodesic_distance_grad,
+    hyperbolic_norm_grad,
+    log_map_origin_vjp,
+)
 
 from conftest import random_ball_points
 
@@ -189,9 +194,72 @@ def test_distance_matrix_matches_scalar(curv014):
     dm = geodesic_distance_matrix(xs, ys, curv014)
     for i in range(len(xs)):
         for j in range(len(ys)):
-            want = geodesic_distance(ball(xs[i], curv014), ball(ys[j], curv014))
-            assert dm[i, j] == pytest.approx(want, rel=1e-10, abs=1e-12)
+            assert dm[i, j] == geodesic_distance(ball(xs[i], curv014), ball(ys[j], curv014))
     assert np.array_equal(dm, geodesic_distance_matrix(ys, xs, curv014).T)
+
+
+# (x, y, distance at curvature -0.14, relative bound).  The distances were
+# computed once from these exact float64 inputs with 60-digit mpmath
+# arithmetic.  The bounds follow the conditioning of the closed form: points
+# within 0.99 of the radius, a pair with both points at 0.99, and pairs on the
+# eps = 1e-5 clip margin.
+REFERENCE_DISTANCES = [
+    ([-0.08786326700395938, -0.2507313217455029, 0.029024507501686853],
+     [0.3964298042113246, -1.126965686774398, 0.5987537364228853],
+     2.5731091542990940351, 1e-13),
+    ([-1.1620353152113287, -0.7560068774567275, -0.8059504320170118],
+     [-0.19568928239800176, 0.4232521314204139, 2.3597198189015827],
+     10.890389098551164269, 1e-13),
+    ([0.6218601216368822, 0.35043656015593827, 0.3651593477935055],
+     [-2.2359276403099804, -0.5428714135664993, -1.0734741669265833],
+     11.416195859110933853, 1e-13),
+    ([-1.5981121747276055, -0.496236131811298, 1.9095066771029983],
+     [-1.194661500764211, -1.3193278814915559, 1.810686723632604],
+     10.56292531939573635, 1e-13),
+    ([0.38901637501320213, 2.35653109719178, 1.1384822061209292],
+     [-1.289831031377437, 0.3125268980112869, -0.15613178481508913],
+     15.477566707736907313, 1e-13),
+    ([0.23484794675723616, -1.796887616572249, 1.9278889026672401],
+     [0.4973326080289035, -1.7609722650742912, -1.5612018589357926],
+     20.055501535113162808, 1e-13),
+    ([2.3802682067011447, -0.6103021195349858, 0.9811059437049108],
+     [2.0867533612237614, -0.3119609522194368, -1.596513407217728],
+     24.519117877327836315, 1e-12),
+    ([0.9355746080563158, -2.0158968704608267, -1.4358183193359801],
+     [-2.5131977028369086, -0.8166734282385216, -0.13265030636492892],
+     26.631039190970057632, 1e-12),
+    ([-0.6821903170203859, 0.3368187521037126, 2.562007764629821],
+     [0.3489603344230569, -0.17794243664506937, -2.6437241650120638],
+     65.230769297358859706, 5e-7),
+    ([0.9667999169839032, -1.9200513068811906, 1.587896465734564],
+     [-1.5564048322084525, -1.4724763031224604, 1.5975393020046678],
+     61.314544724255381976, 5e-7),
+    ([-0.02542752868494887, -2.670428121079814, -0.10431384069087545],
+     [-0.0449256000617389, -2.6693958740977832, -0.12256281751574107],
+     36.923461440990383998, 5e-7),
+    ([-1.915281366470111, 0.7419148982665434, 1.7099631158042852],
+     [-1.9151418735908579, 0.7421345780799885, 1.7100240227743895],
+     12.360476649160747113, 5e-7),
+    ([-1.1103535116344787, 2.217852462081344, -0.9954696489945202],
+     [-1.1103549635153083, 2.217852734862828, -0.9954674218109613],
+     0.26714867350724192381, 5e-7),
+    ([2.4696257806717608, 0.10618853129606992, 1.0160643609984323],
+     [-1.0133266379477313, -0.8647386609437342, 0.1054061611532763],
+     35.170917054650019214, 5e-7),
+]
+
+
+def test_distance_matches_high_precision_reference(curv014):
+    xs = np.array([x for x, _, _, _ in REFERENCE_DISTANCES])
+    ys = np.array([y for _, y, _, _ in REFERENCE_DISTANCES])
+    want = np.array([d for _, _, d, _ in REFERENCE_DISTANCES])
+    bound = np.array([b for _, _, _, b in REFERENCE_DISTANCES])
+    # the margin cases lie exactly on the clip radius
+    assert np.array_equal(clip_to_ball(xs[bound == 5e-7], curv014), xs[bound == 5e-7])
+    got = np.diag(geodesic_distance_matrix(xs, ys, curv014))
+    assert np.all(np.abs(got - want) <= bound * want)
+    for x, y, d in zip(xs, ys, got):
+        assert geodesic_distance(ball(x, curv014), ball(y, curv014)) == d
 
 
 def test_distance_matrix_workers_identical(curv014):
@@ -226,22 +294,37 @@ def central_diff(fn, point, h=1e-6):
 
 def test_hyperbolic_norm_grad_fd(curv014):
     rng = np.random.default_rng(31)
-    for row in random_ball_points(rng, 20, 3, curv014, max_frac=0.8):
-        got = hyperbolic_norm_grad(row, curv014)
+    rows = random_ball_points(rng, 20, 3, curv014, max_frac=0.8)
+    stacked = hyperbolic_norm_grad(rows, curv014)
+    for row, got_row in zip(rows, stacked):
         want = central_diff(lambda v: hyperbolic_norm(ball(v, curv014)), row)
-        assert np.allclose(got, want, rtol=1e-6, atol=1e-8)
+        for got in (hyperbolic_norm_grad(row, curv014), got_row):
+            assert np.allclose(got, want, rtol=1e-6, atol=1e-8)
+
+
+def test_log_map_origin_vjp_fd(curv014):
+    rng = np.random.default_rng(34)
+    rows = random_ball_points(rng, 12, 3, curv014, max_frac=0.8)
+    rows[0] = 0.0
+    upstream = rng.normal(size=rows.shape)
+    stacked = log_map_origin_vjp(upstream, rows, curv014)
+    for row, up, got_row in zip(rows, upstream, stacked):
+        want = central_diff(lambda v: float(up @ log_map_origin(ball(v, curv014)).coords), row)
+        for got in (log_map_origin_vjp(up, row, curv014), got_row):
+            assert np.allclose(got, want, rtol=1e-6, atol=1e-8)
 
 
 def test_geodesic_grad_fd(curv014):
     rng = np.random.default_rng(32)
     xs = random_ball_points(rng, 10, 3, curv014, max_frac=0.7)
     ys = random_ball_points(rng, 10, 3, curv014, max_frac=0.7)
-    for x, y in zip(xs, ys):
-        gx, gy = geodesic_distance_grad(x, y, curv014)
+    gxs, gys = geodesic_distance_grad(xs, ys, curv014)
+    for x, y, gx_row, gy_row in zip(xs, ys, gxs, gys):
         fx = central_diff(lambda v: geodesic_distance(ball(v, curv014), ball(y, curv014)), x)
         fy = central_diff(lambda v: geodesic_distance(ball(x, curv014), ball(v, curv014)), y)
-        assert np.allclose(gx, fx, rtol=1e-6, atol=1e-8)
-        assert np.allclose(gy, fy, rtol=1e-6, atol=1e-8)
+        for gx, gy in (geodesic_distance_grad(x, y, curv014), (gx_row, gy_row)):
+            assert np.allclose(gx, fx, rtol=1e-6, atol=1e-8)
+            assert np.allclose(gy, fy, rtol=1e-6, atol=1e-8)
 
 
 def test_clip_vjp_outside_matches_fd(unit_curv):
@@ -251,9 +334,17 @@ def test_clip_vjp_outside_matches_fd(unit_curv):
     theta *= 2.0 / np.linalg.norm(theta)
     upstream = rng.normal(size=3)
 
-    def fn(v):
-        return float(upstream @ clip_to_ball(v, unit_curv))
+    def fn(v, up=upstream):
+        return float(up @ clip_to_ball(v, unit_curv))
 
     got = clip_vjp(upstream, theta, unit_curv)
     want = central_diff(fn, theta)
     assert np.allclose(got, want, rtol=1e-6, atol=1e-9)
+    # a row stack mixing rows outside the margin with rows strictly inside it
+    thetas = np.vstack([theta, rng.normal(size=(5, 3))])
+    thetas[1:] *= np.array([[0.5], [3.0], [0.2], [1.5], [0.9]]) / np.linalg.norm(
+        thetas[1:], axis=1, keepdims=True)
+    upstreams = np.vstack([upstream, rng.normal(size=(5, 3))])
+    stacked = clip_vjp(upstreams, thetas, unit_curv)
+    for row, up, got in zip(thetas, upstreams, stacked):
+        assert np.allclose(got, central_diff(lambda v: fn(v, up), row), rtol=1e-6, atol=1e-9)
