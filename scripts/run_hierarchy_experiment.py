@@ -13,8 +13,6 @@ import json
 import time
 from pathlib import Path
 
-import numpy as np
-
 from hypcloud import (
     TrainConfig,
     clip_to_ball,
@@ -29,9 +27,8 @@ from hypcloud.svgplot import disk_svg
 from hypcloud.train import export_disk
 
 
-def embedding_rows(manifest, state):
-    return np.array([clip_to_ball(state.table[s.id], state.curvature, state.eps)
-                     for s in manifest.samples])
+def embedding_rows(state):
+    return clip_to_ball(state.table.rows, state.curvature, state.eps)
 
 
 def run_once(manifest, config, label):
@@ -69,7 +66,7 @@ def main():
     init = init_state(manifest, config)
     rel = {}
     for label, state in (("initial", init), ("trained", hyp_state)):
-        report = sampled_delta(embedding_rows(manifest, state), "hyperbolic",
+        report = sampled_delta(embedding_rows(state), "hyperbolic",
                                curv=state.curvature, seed=args.seed)
         rel[label] = report.delta_rel
         print(f"[delta] {label}: delta={report.delta:.4f} delta_rel={report.delta_rel:.4f}")

@@ -19,13 +19,7 @@ from .train import DivergenceError, TrainConfig, evaluate_hierarchy, export_disk
 from .train import train as train_embeddings
 from .chamfer import chamfer_distance, hyper_chamfer
 from .cloud import CloudParseError, read_cloud
-from .poincare import (
-    BallPoint,
-    Curvature,
-    NumericalDomainError,
-    clip_to_ball,
-    hyperbolic_norm,
-)
+from .poincare import Curvature, NumericalDomainError, clip_to_ball, hyperbolic_norms
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -198,15 +192,10 @@ def cmd_embed(args) -> int:
                [f"{i},{r.l_z!r},{r.l_t!r},{r.total!r}" for i, r in enumerate(curve)],
                cfg)
     emb_header = "id,category,role,n_points,hnorm," + ",".join(f"c{i}" for i in range(config.dim))
-    emb_rows = []
-    norms = {
-        s.id: hyperbolic_norm(
-            BallPoint(clip_to_ball(state.table[s.id], state.curvature, state.eps),
-                      state.curvature))
-        for s in manifest.samples}
-    for s in manifest.samples:
-        coords = ",".join(repr(float(v)) for v in state.table[s.id])
-        emb_rows.append(f"{s.id},{s.category},{s.role},{s.n_points},{norms[s.id]!r},{coords}")
+    rows = state.table.rows  # in manifest order
+    norms = hyperbolic_norms(clip_to_ball(rows, state.curvature, state.eps), state.curvature)
+    emb_rows = [f"{s.id},{s.category},{s.role},{s.n_points},{norm!r}," + ",".join(map(repr, row))
+                for s, row, norm in zip(manifest.samples, rows.tolist(), norms.tolist())]
     _write_csv(out_dir / "embeddings.csv", emb_header, emb_rows, cfg)
     if config.dim == 2:
         rows = export_disk(state, manifest)

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections.abc import MutableMapping
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -23,7 +25,9 @@ from .losses import (
     TripletExample,
     loss_gradients,
 )
-from .poincare import BALL_EPS, BallPoint, Curvature, clip_to_ball, hyperbolic_norm, log_map_origin
+# hyperbolic_norm and log_map_origin are unused here but perfbench/tracing.py patches them.
+from .poincare import (BALL_EPS, Curvature, clip_to_ball, hyperbolic_norm, hyperbolic_norms,
+                       log_map_origin, log_maps_origin)
 from .synthdata import HierarchyManifest
 
 # Deterministic substream labels.
@@ -70,15 +74,41 @@ class TrainConfig:
         return Curvature(self.curvature_k)
 
 
+class EmbeddingTable(MutableMapping):
+    """A fixed set of sample ids -> live (d,) rows of one (N, d) float64 array;
+    `ids` lists the samples in row order and `index` maps an id to its row."""
+
+    def __init__(self, ids, rows: np.ndarray):
+        self.ids, self.rows = list(ids), rows
+        self.index = {sid: i for i, sid in enumerate(self.ids)}
+
+    def __getitem__(self, sid) -> np.ndarray:
+        return self.rows[self.index[sid]]
+
+    def __setitem__(self, sid, value):
+        i, value = self.index[sid], np.asarray(value, dtype=np.float64)
+        if value.shape != self.rows.shape[1:]:
+            raise ValueError(f"row {sid!r} needs shape {self.rows.shape[1:]}, got {value.shape}")
+        self.rows[i] = value
+
+    def __delitem__(self, sid):
+        raise TypeError("the embedding table has a fixed set of sample ids")
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
 @dataclass
 class EmbeddingState:
     """Trainable vectors per sample plus the margin head."""
 
-    table: dict[str, np.ndarray]
+    table: EmbeddingTable
     head: MarginHead
     curvature: Curvature
     eps: float
-    step: int
     seed: int
 
 
@@ -87,13 +117,11 @@ def init_state(manifest: HierarchyManifest, config: TrainConfig) -> EmbeddingSta
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n = len(manifest.samples)
     block = rng.normal(0.0, config.init_std, size=(n, config.dim))
-    table = {s.id: block[i].copy() for i, s in enumerate(manifest.samples)}
     return EmbeddingState(
-        table=table,
+        table=EmbeddingTable([s.id for s in manifest.samples], block),
         head=MarginHead.zeros(2 * config.dim, config.gamma0),
         curvature=config.curvature,
         eps=config.ball_eps,
-        step=0,
         seed=config.seed,
     )
 
@@ -106,16 +134,14 @@ def positive_pairs(manifest: HierarchyManifest) -> list[PairExample]:
             for s in manifest.samples if s.role == "part"]
 
 
-def sample_triplets(manifest: HierarchyManifest, count: int,
-                    rng: np.random.Generator) -> list[TripletExample]:
-    """Anchor wholes uniformly; positives from the anchor's own parts,
-    negatives uniformly from parts of other categories."""
-    wholes = manifest.wholes()
+def _draw_triplets(manifest: HierarchyManifest, anchors,
+                   rng: np.random.Generator) -> list[TripletExample]:
+    """One (anchor, own part, other-category part) triplet per anchor whole;
+    `anchors` is consumed lazily, so it may draw each whole from `rng` first."""
     parts = [s for s in manifest.samples if s.role == "part"]
     parts_of = manifest.parts_by_whole()
     out = []
-    for _ in range(count):
-        whole = wholes[int(rng.integers(len(wholes)))]
+    for whole in anchors:
         own = parts_of[whole.id]
         pos = own[int(rng.integers(len(own)))]
         while True:
@@ -124,6 +150,15 @@ def sample_triplets(manifest: HierarchyManifest, count: int,
                 break
         out.append(TripletExample(whole.id, pos.id, neg.id))
     return out
+
+
+def sample_triplets(manifest: HierarchyManifest, count: int,
+                    rng: np.random.Generator) -> list[TripletExample]:
+    """Anchor wholes uniformly; positives from the anchor's own parts,
+    negatives uniformly from parts of other categories."""
+    wholes = manifest.wholes()
+    return _draw_triplets(
+        manifest, (wholes[int(rng.integers(len(wholes)))] for _ in range(count)), rng)
 
 
 def _chunks(items, size):
@@ -135,8 +170,9 @@ def _chunks(items, size):
 
 @dataclass
 class AdamOptimizer:
-    """Adam with sparse per-key slots; only keys present in a step's gradient
-    dict are updated, and the bias-correction time index is global."""
+    """Adam with one moment pair per parameter array.  A step may update only
+    some rows of an array: the other rows keep their values and moments, and
+    the bias-correction time index `t` is global (it counts steps)."""
 
     learning_rate: float
     beta1: float = 0.9
@@ -145,38 +181,41 @@ class AdamOptimizer:
     t: int = 0
     slots: dict = field(default_factory=dict)
 
-    def update(self, key, value: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        m, v = self.slots.get(key, (np.zeros_like(value), np.zeros_like(value)))
-        m = self.beta1 * m + (1.0 - self.beta1) * grad
-        v = self.beta2 * v + (1.0 - self.beta2) * grad * grad
-        self.slots[key] = (m, v)
-        m_hat = m / (1.0 - self.beta1 ** self.t)
-        v_hat = v / (1.0 - self.beta2 ** self.t)
-        return value - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+    def update(self, key, value: np.ndarray, grad: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Return `value[rows]` after one Adam step with `grad` on those rows."""
+        if key not in self.slots:
+            self.slots[key] = (np.zeros_like(value), np.zeros_like(value))
+        m, v = self.slots[key]
+        m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * grad
+        v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * grad * grad
+        m_hat = m[rows] / (1.0 - self.beta1 ** self.t)
+        v_hat = v[rows] / (1.0 - self.beta2 ** self.t)
+        return value[rows] - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def train_step(state: EmbeddingState, batch: LossBatch, optimizer: AdamOptimizer,
                config: TrainConfig) -> GradientBundle:
-    """One optimizer step on a batch: gradients, Adam updates, ball guard."""
+    """One optimizer step on a batch: gradients, Adam on the touched rows and
+    the head, ball guard."""
     bundle = loss_gradients(
         batch, state, state.curvature, state.eps, config.margin_eps,
         reg_space=config.reg_space, triplet_metric=config.triplet_metric)
     optimizer.t += 1
-    for sid, grad in bundle.embeddings.items():
-        updated = optimizer.update(sid, state.table[sid], grad)
-        if not np.all(np.isfinite(updated)):
-            raise DivergenceError(f"embedding for sample {sid!r} became non-finite "
-                                  f"at step {optimizer.t}")
-        state.table[sid] = clip_to_ball(updated, state.curvature, state.eps)
+    table, ids = state.table, list(bundle.embeddings)
+    rows = np.array([table.index[sid] for sid in ids], dtype=np.intp)
+    grads = np.reshape([bundle.embeddings[sid] for sid in ids], (rows.size, table.rows.shape[1]))
+    updated = optimizer.update("table", table.rows, grads, rows)
+    finite = np.isfinite(updated).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(f"embedding for sample {ids[int(np.argmin(finite))]!r} "
+                              f"became non-finite at step {optimizer.t}")
+    table.rows[rows] = clip_to_ball(updated, state.curvature, state.eps)
     if batch.pairs:
-        state.head.weights = optimizer.update("head.weights", state.head.weights,
-                                              bundle.head_weights)
-        state.head.bias = float(optimizer.update(
-            "head.bias", np.float64(state.head.bias), np.float64(bundle.head_bias)))
+        head = optimizer.update("head", np.append(state.head.weights, state.head.bias),
+                                np.append(bundle.head_weights, bundle.head_bias))
+        state.head.weights, state.head.bias = head[:-1], float(head[-1])
     if not math.isfinite(bundle.report.total):
-        bad = next((s for s, v in state.table.items() if not np.all(np.isfinite(v))), "<unknown>")
-        raise DivergenceError(f"non-finite loss at step {optimizer.t}; first bad sample: {bad!r}")
-    state.step += 1
+        raise DivergenceError(f"non-finite loss at step {optimizer.t}")
     return bundle
 
 
@@ -210,13 +249,9 @@ def train(state: EmbeddingState, manifest: HierarchyManifest,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(_EPOCH_STREAM, epoch)))
         triplets = sample_triplets(manifest, config.batch_triplets, rng)
-        pair_chunks = _chunks(pairs, config.minibatch)
-        trip_chunks = _chunks(triplets, config.minibatch)
-        for k in range(max(len(pair_chunks), len(trip_chunks))):
-            batch = LossBatch(
-                pairs=tuple(pair_chunks[k]) if k < len(pair_chunks) else (),
-                triplets=tuple(trip_chunks[k]) if k < len(trip_chunks) else ())
-            train_step(state, batch, optimizer, config)
+        for chunks in zip_longest(_chunks(pairs, config.minibatch),
+                                  _chunks(triplets, config.minibatch), fillvalue=()):
+            train_step(state, LossBatch(*chunks), optimizer, config)
         report = loss_gradients(
             reference, state, state.curvature, state.eps, config.margin_eps,
             reg_space=config.reg_space, triplet_metric=config.triplet_metric).report
@@ -247,22 +282,8 @@ def evaluation_triplets(manifest: HierarchyManifest, seed: int) -> list[TripletE
         # Tiny manifests can hash every whole into the training side.
         anchors = {w.id for w in manifest.wholes()}
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_EVAL_STREAM,)))
-    parts = [s for s in manifest.samples if s.role == "part"]
-    parts_of = manifest.parts_by_whole()
-    cat_of = {s.id: s.category for s in manifest.samples}
-    out = []
-    for whole in manifest.wholes():
-        if whole.id not in anchors:
-            continue
-        own = parts_of[whole.id]
-        for _ in range(EVAL_TRIPLETS_PER_ANCHOR):
-            pos = own[int(rng.integers(len(own)))]
-            while True:
-                neg = parts[int(rng.integers(len(parts)))]
-                if neg.category != cat_of[whole.id]:
-                    break
-            out.append(TripletExample(whole.id, pos.id, neg.id))
-    return out
+    return _draw_triplets(manifest, (w for w in manifest.wholes() if w.id in anchors
+                                     for _ in range(EVAL_TRIPLETS_PER_ANCHOR)), rng)
 
 
 def evaluate_hierarchy(state: EmbeddingState, manifest: HierarchyManifest) -> dict[str, float]:
@@ -274,9 +295,9 @@ def evaluate_hierarchy(state: EmbeddingState, manifest: HierarchyManifest) -> di
     fraction of held-out triplets with the anchor closer (in the origin
     tangent space) to its own part than to the foreign part.
     """
-    curv = state.curvature
-    norms = {sid: hyperbolic_norm(BallPoint(clip_to_ball(vec, curv, state.eps), curv))
-             for sid, vec in state.table.items()}
+    table = state.table
+    coords = clip_to_ball(table.rows, state.curvature, state.eps)
+    norms = dict(zip(table.ids, hyperbolic_norms(coords, state.curvature).tolist()))
     pairs = positive_pairs(manifest)
     norm_ok = sum(norms[p.part_id] < norms[p.whole_id] for p in pairs)
     chains_ok = 0
@@ -284,8 +305,7 @@ def evaluate_hierarchy(state: EmbeddingState, manifest: HierarchyManifest) -> di
     for whole in manifest.wholes():
         seq = [norms[p.id] for p in parts_of[whole.id]] + [norms[whole.id]]
         chains_ok += all(a < b for a, b in zip(seq, seq[1:]))
-    tangents = {sid: log_map_origin(BallPoint(clip_to_ball(vec, curv, state.eps), curv)).coords
-                for sid, vec in state.table.items()}
+    tangents = dict(zip(table.ids, log_maps_origin(coords, state.curvature)))
     eval_trips = evaluation_triplets(manifest, state.seed)
     trip_ok = 0
     for trip in eval_trips:
@@ -305,22 +325,13 @@ def export_disk(state: EmbeddingState, manifest: HierarchyManifest) -> list[dict
     Ball coordinates are rescaled by sqrt(c) so all outputs lie strictly
     inside the unit circle; rows carry category, role, size and norm.
     """
-    dims = {vec.shape[0] for vec in state.table.values()}
-    if dims != {2}:
-        raise ValueError(
-            f"disk export needs 2-D embeddings, got dim(s) {sorted(dims)}; train with dim=2")
-    curv = state.curvature
-    scale = 1.0 / curv.ball_radius
-    rows = []
-    for s in manifest.samples:
-        coords = clip_to_ball(state.table[s.id], curv, state.eps)
-        rows.append({
-            "id": s.id,
-            "category": s.category,
-            "role": s.role,
-            "n_points": s.n_points,
-            "hnorm": hyperbolic_norm(BallPoint(coords, curv)),
-            "x": float(coords[0] * scale),
-            "y": float(coords[1] * scale),
-        })
-    return rows
+    table, curv = state.table, state.curvature
+    if table.rows.shape[1] != 2:
+        raise ValueError(f"disk export needs dim=2 embeddings, got dim={table.rows.shape[1]}")
+    coords = clip_to_ball(table.rows[[table.index[s.id] for s in manifest.samples]],
+                          curv, state.eps)
+    hnorms = hyperbolic_norms(coords, curv).tolist()
+    disk = (coords * (1.0 / curv.ball_radius)).tolist()
+    return [{"id": s.id, "category": s.category, "role": s.role, "n_points": s.n_points,
+             "hnorm": hnorm, "x": x, "y": y}
+            for s, hnorm, (x, y) in zip(manifest.samples, hnorms, disk)]

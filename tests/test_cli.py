@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hypcloud import PointCloud, write_xyz
+from hypcloud import BallPoint, Curvature, PointCloud, clip_to_ball, hyperbolic_norm, write_xyz
 from hypcloud.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
 
@@ -178,6 +178,28 @@ def test_embed_end_to_end_small(capsys, tmp_path):
     for line in disk_lines:
         x, y = map(float, line.split(",")[-2:])
         assert x * x + y * y < 1.0
+
+
+def test_embed_hnorm_columns_match_scalar_norm(capsys, tmp_path):
+    """hnorm in embeddings.csv and disk.csv is the repr of a Python float equal
+    bit for bit to the scalar norm of the clipped row."""
+    ds = tmp_path / "ds"
+    run(capsys, ["synth", "--out-dir", str(ds), "--categories", "2", "--objects", "2",
+                 "--parts", "2", "--points", "128", "--seed", "3"])
+    out = tmp_path / "run"
+    code, _, _ = run(capsys, [
+        "embed", str(ds / "manifest.json"), "--out-dir", str(out), "--lr", "0.5",
+        "--epochs", "4", "--dim", "2", "--batch-triplets", "16", "--minibatch", "8"])
+    assert code == EXIT_OK
+    curv = Curvature(-0.14)
+    hnorms = {}
+    for line in (out / "embeddings.csv").read_text().splitlines()[2:]:
+        fields = line.split(",")
+        row = np.array([float(v) for v in fields[5:]])
+        assert fields[4] == repr(hyperbolic_norm(BallPoint(clip_to_ball(row, curv), curv)))
+        hnorms[fields[0]] = fields[4]
+    disk = [line.split(",") for line in (out / "disk.csv").read_text().splitlines()[2:]]
+    assert {fields[0]: fields[4] for fields in disk} == hnorms
 
 
 def test_embed_single_category_error(capsys, tmp_path):

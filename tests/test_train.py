@@ -16,6 +16,7 @@ from hypcloud import (
     loss_gradients,
     train,
 )
+from hypcloud.losses import TripletExample
 from hypcloud.synthdata import HierarchyManifest
 from hypcloud.train import (
     AdamOptimizer,
@@ -95,38 +96,138 @@ def test_embeddings_stay_in_ball(small_manifest):
         assert np.linalg.norm(vec) <= rho
 
 
+def _hand_adam(m, v, grad, t, lr):
+    """One Adam step written out: new moments and the step to subtract."""
+    m = 0.9 * m + (1 - 0.9) * grad
+    v = 0.999 * v + (1 - 0.999) * grad * grad
+    return m, v, lr * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+
+
 def test_gradient_path_identity(small_manifest):
-    """One trainer step equals a hand-composed loss_gradients + Adam step."""
+    """Two trainer steps equal hand-composed loss_gradients + sparse Adam steps;
+    the second batch touches a subset of rows, and the untouched rows keep
+    their values and moments (a dense Adam step would move them)."""
     config = FAST
     state_a = init_state(small_manifest, config)
     state_b = init_state(small_manifest, config)
     rng = np.random.default_rng(0)
-    batch = LossBatch(pairs=tuple(positive_pairs(small_manifest)[:8]),
-                      triplets=tuple(sample_triplets(small_manifest, 8, rng)))
+    batches = [LossBatch(pairs=tuple(positive_pairs(small_manifest)[:8]),
+                         triplets=tuple(sample_triplets(small_manifest, 8, rng))),
+               LossBatch(pairs=tuple(positive_pairs(small_manifest)[:2]))]
 
     opt = AdamOptimizer(config.learning_rate)
-    train_step(state_a, batch, opt, config)
+    zero = np.zeros(config.dim)
+    moments = {sid: (zero, zero) for sid in state_b.table}
+    head_m = head_v = np.zeros(2 * config.dim + 1)
+    touched = []
+    for t, batch in enumerate(batches, start=1):
+        train_step(state_a, batch, opt, config)
 
-    bundle = loss_gradients(batch, state_b, state_b.curvature, state_b.eps,
-                            config.margin_eps)
-    t = 1
-    for sid, grad in bundle.embeddings.items():
-        m = (1 - 0.9) * grad
-        v = (1 - 0.999) * grad * grad
-        step = config.learning_rate * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
-        state_b.table[sid] = clip_to_ball(state_b.table[sid] - step, state_b.curvature, state_b.eps)
-    mw = (1 - 0.9) * bundle.head_weights
-    vw = (1 - 0.999) * bundle.head_weights**2
-    state_b.head.weights = state_b.head.weights - config.learning_rate * (
-        mw / (1 - 0.9**t)) / (np.sqrt(vw / (1 - 0.999**t)) + 1e-8)
-    mb = (1 - 0.9) * bundle.head_bias
-    vb = (1 - 0.999) * bundle.head_bias**2
-    state_b.head.bias = state_b.head.bias - config.learning_rate * (
-        mb / (1 - 0.9**t)) / (np.sqrt(vb / (1 - 0.999**t)) + 1e-8)
+        bundle = loss_gradients(batch, state_b, state_b.curvature, state_b.eps,
+                                config.margin_eps)
+        touched.append(set(bundle.embeddings))
+        for sid, grad in bundle.embeddings.items():
+            m, v, step = _hand_adam(*moments[sid], grad, t, config.learning_rate)
+            moments[sid] = (m, v)
+            state_b.table[sid] = clip_to_ball(state_b.table[sid] - step,
+                                              state_b.curvature, state_b.eps)
+        head = np.append(state_b.head.weights, state_b.head.bias)
+        head_m, head_v, step = _hand_adam(
+            head_m, head_v, np.append(bundle.head_weights, bundle.head_bias), t,
+            config.learning_rate)
+        state_b.head.weights, state_b.head.bias = (head - step)[:-1], float((head - step)[-1])
 
-    assert all(np.array_equal(state_a.table[k], state_b.table[k]) for k in state_a.table)
-    assert np.array_equal(state_a.head.weights, state_b.head.weights)
-    assert state_a.head.bias == state_b.head.bias
+        assert all(np.array_equal(state_a.table[k], state_b.table[k]) for k in state_a.table)
+        assert np.array_equal(state_a.head.weights, state_b.head.weights)
+        assert state_a.head.bias == state_b.head.bias
+
+    assert touched[1] and touched[0] - touched[1]
+    m_a, v_a = opt.slots["table"]
+    for sid, i in state_a.table.index.items():
+        assert np.array_equal(m_a[i], moments[sid][0]) and np.array_equal(v_a[i], moments[sid][1])
+    assert opt.t == 2
+
+
+def test_step_without_active_hinge(small_manifest):
+    """A step whose batch has no hinge-active example updates nothing but t."""
+    config = FAST
+    state = init_state(small_manifest, config)
+    opt = AdamOptimizer(config.learning_rate)
+    train_step(state, LossBatch(pairs=tuple(positive_pairs(small_manifest))), opt, config)
+    whole = small_manifest.wholes()[0]
+    pos = small_manifest.parts_by_whole()[whole.id][0]
+    neg = next(s for s in small_manifest.samples
+               if s.role == "part" and s.category != whole.category)
+    # anchor on its positive, negative across the ball: d_pos - d_neg + margin < 0
+    rho = 0.95 * state.curvature.ball_radius
+    state.table[whole.id] = state.table[pos.id] = rho * np.eye(config.dim)[0]
+    state.table[neg.id] = -rho * np.eye(config.dim)[0]
+    rows = state.table.rows.copy()
+    m, v = (a.copy() for a in opt.slots["table"])
+    head = (state.head.weights.copy(), state.head.bias)
+
+    bundle = train_step(state, LossBatch(triplets=(TripletExample(whole.id, pos.id, neg.id),)),
+                        opt, config)
+    assert bundle.embeddings == {}
+    assert opt.t == 2
+    assert np.array_equal(state.table.rows, rows)
+    assert np.array_equal(opt.slots["table"][0], m) and np.array_equal(opt.slots["table"][1], v)
+    assert np.array_equal(state.head.weights, head[0]) and state.head.bias == head[1]
+
+
+def test_embedding_table_is_fixed_id_view(small_manifest):
+    state = init_state(small_manifest, FAST)
+    table = state.table
+    ids = [s.id for s in small_manifest.samples]
+    assert list(table) == ids and list(table.ids) == ids and len(table) == len(ids)
+    assert table.rows.shape == (len(ids), FAST.dim) and table.rows.dtype == np.float64
+    live = table[ids[0]]
+    assert np.shares_memory(live, table.rows)
+
+    # writes land in the rows evaluate_hierarchy reads ...
+    radius = state.curvature.ball_radius
+    for inverted, want in ((False, 1.0), (True, 0.0)):
+        for s in small_manifest.samples:
+            level = 0.8 if (s.role == "whole") != inverted else 0.1
+            table[s.id] = np.full(FAST.dim, level * radius / np.sqrt(FAST.dim))
+        assert evaluate_hierarchy(state, small_manifest)["norm_order_rate"] == want
+    assert np.array_equal(table.rows[table.index[ids[0]]], table[ids[0]])
+    # ... and train_step updates those same rows in place
+    state = init_state(small_manifest, FAST)
+    live = state.table[ids[0]]
+    before = live.copy()
+    pair = next(p for p in positive_pairs(small_manifest) if ids[0] in (p.part_id, p.whole_id))
+    train_step(state, LossBatch(pairs=(pair,)), AdamOptimizer(FAST.learning_rate), FAST)
+    assert not np.array_equal(live, before)
+    assert np.array_equal(live, state.table[ids[0]])
+
+    with pytest.raises(KeyError):
+        state.table["no-such-sample"] = np.zeros(FAST.dim)
+    with pytest.raises(KeyError):
+        state.table["no-such-sample"]
+    with pytest.raises(ValueError):
+        state.table[ids[0]] = np.zeros(FAST.dim + 1)
+    with pytest.raises(ValueError):
+        state.table[ids[0]] = np.zeros((1, FAST.dim))
+    with pytest.raises(TypeError):
+        del state.table[ids[0]]
+    assert list(state.table) == ids
+
+
+def test_rates_and_norms_are_plain_floats(small_manifest):
+    """Rates and hnorm are Python floats (repr-stable in the CSV outputs) equal
+    bit for bit to the scalar norm of each clipped row."""
+    config = dataclasses.replace(FAST, dim=2, learning_rate=0.5)  # the clip fires
+    state = init_state(small_manifest, config)
+    state, _ = train(state, small_manifest, config)
+    rates = evaluate_hierarchy(state, small_manifest)
+    assert all(type(v) is float for v in rates.values())
+    rows = export_disk(state, small_manifest)
+    for row, s in zip(rows, small_manifest.samples):
+        want = hyperbolic_norm(BallPoint(
+            clip_to_ball(state.table[s.id], state.curvature, state.eps), state.curvature))
+        assert type(row["hnorm"]) is float and row["hnorm"] == want
+        assert type(row["x"]) is float and type(row["y"]) is float
 
 
 def test_divergence_guard_names_sample(small_manifest):
