@@ -131,8 +131,7 @@ def cmd_delta(args) -> int:
         if dm.n < 4:
             raise UsageError(f"need at least 4 points, got {dm.n}")
         report = hyperbolicity.sampled_delta_matrix(
-            dm, batch_size=args.batch, n_batches=args.trials, seed=args.seed,
-            workers=args.threads)
+            dm, batch_size=args.batch, n_batches=args.trials, seed=args.seed)
     else:
         if args.input.endswith(".csv"):
             points = _read_embedding_csv(args.input)

@@ -7,7 +7,6 @@ flat geometries.  A batched, seeded sampling protocol handles large sets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,42 +95,67 @@ def pairwise_distances(
     return DistanceMatrix(d)
 
 
-def _maxmin_delta(m: np.ndarray, workers: int = 1) -> float:
-    """max_ij ((M (x) M) - M) with (M (x) M)[i,j] = max_k min(M[i,k], M[k,j]).
+# Rows per chunk of the row-bound pass, and per gathered block of the scan.
+_BOUND_ROWS = 64
+_SCAN_ROWS = 256
 
-    Row-chunked; the reduction is a max, so worker count cannot change the
-    result.
+
+def _maxmin_delta(m: np.ndarray) -> float:
+    """max(0, max_ij (M (x) M - M)[i,j]), (M (x) M)[i,j] = max_k min(M[i,k], M[k,j]).
+
+    Exact bound-pruned scan of the symmetric M (Cohen, Coudert & Lancin, ACM
+    JEA 2015).  With r the row maxima, the defect at (i, j) is at most
+    min(r_i, r_j) - M[i,j].  Rows go in descending order of their largest
+    bound until none beats the running delta; in a row only the columns whose
+    bound beats it, and the k with M[i,k] - min_j M[i,j] above it, are scanned.
+    A bound rounds the same subtraction as the defect it bounds and rounding
+    is monotone, so the result is bit-identical to the dense scan.
     """
     n = m.shape[0]
+    r = m.max(axis=1)
+    bound = np.empty(n)
+    for lo in range(0, n, _BOUND_ROWS):
+        hi = min(lo + _BOUND_ROWS, n)
+        bound[lo:hi] = (np.minimum(r[lo:hi, None], r) - m[lo:hi]).max(axis=1)
+    # (i, i) has defect r_i - M[i,i] >= 0, so 0 is a lower bound of the max
+    delta = 0.0
+    unvisited = np.ones(n, dtype=bool)
+    for i in np.argsort(-bound, kind="stable"):
+        if bound[i] <= delta:
+            break
+        row = m[i]
+        # (j, i) was already bounded or evaluated from row j: the defect is
+        # symmetric because M is
+        cols = np.flatnonzero(unvisited & (np.minimum(r[i], r) - row > delta))
+        unvisited[i] = False
+        if cols.size == 0:
+            continue
+        ks = np.flatnonzero(row - row[cols].min() > delta)
+        row_k = row[ks]
+        for lo in range(0, cols.size, _SCAN_ROWS):
+            js = cols[lo:lo + _SCAN_ROWS]
+            # a row gather then a column gather (at most _SCAN_ROWS * n
+            # scratch) is faster than one np.ix_ gather
+            block = m[js][:, ks]
+            np.minimum(block, row_k, out=block)
+            delta = max(delta, float((block.max(axis=1) - row[js]).max()))
+    return delta
 
-    def rows(lo: int, hi: int) -> float:
-        worst = -math.inf
-        for i in range(lo, hi):
-            maxmin = np.minimum(m[i][:, None], m).max(axis=0)
-            worst = max(worst, float((maxmin - m[i]).max()))
-        return worst
 
-    if workers <= 1 or n < 64:
-        return rows(0, n)
-    from concurrent.futures import ThreadPoolExecutor
-
-    bounds = [(lo, min(lo + 64, n)) for lo in range(0, n, 64)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return max(pool.map(lambda b: rows(*b), bounds))
-
-
-def gromov_delta(dm: DistanceMatrix, base: int, workers: int = 1) -> float:
+def gromov_delta(dm: DistanceMatrix, base: int) -> float:
     """Delta of the four-point condition anchored at `base` (clamped at 0)."""
     if not (0 <= base < dm.n):
         raise ValueError(f"base index {base} out of range for n={dm.n}")
     d = dm.d
-    m = 0.5 * (d[:, base][:, None] + d[base, :][None, :] - d)
-    return max(0.0, _maxmin_delta(m, workers=workers))
+    m = d[:, base][:, None] + d[base, :][None, :]
+    m -= d
+    m *= 0.5
+    return _maxmin_delta(m)
 
 
-def four_point_delta(dm: DistanceMatrix, workers: int = 1) -> float:
+def four_point_delta(dm: DistanceMatrix) -> float:
     """Exhaustive four-point delta: the maximum of gromov_delta over all bases."""
-    return max(gromov_delta(dm, b, workers=workers) for b in range(dm.n))
+    return max(gromov_delta(dm, b) for b in range(dm.n))
 
 
 def _heaviest_base(d: np.ndarray) -> int:
@@ -139,8 +163,7 @@ def _heaviest_base(d: np.ndarray) -> int:
     return int(np.argmax(d.sum(axis=1)))
 
 
-def _sampled(n: int, submatrix, batch_size: int, n_batches: int, seed: int,
-             workers: int) -> DeltaReport:
+def _sampled(n: int, submatrix, batch_size: int, n_batches: int, seed: int) -> DeltaReport:
     """The batched protocol over n rows; `submatrix(pick)` returns the
     DistanceMatrix of the rows in `pick`, so only the batches' are built."""
     if batch_size < 4:
@@ -156,14 +179,14 @@ def _sampled(n: int, submatrix, batch_size: int, n_batches: int, seed: int,
     for pick in picks:
         sub = submatrix(pick)
         base = _heaviest_base(sub.d)
-        delta = gromov_delta(sub, base, workers=workers)
+        delta = gromov_delta(sub, base)
         diam = float(sub.d.max())
         deltas.append(delta)
         diams.append(diam)
         rels.append(2.0 * delta / diam if diam > 0 else 0.0)
     four_point = None
     if exact and n <= FOUR_POINT_LIMIT:
-        four_point = four_point_delta(sub, workers=workers)
+        four_point = four_point_delta(sub)
     return DeltaReport(
         delta=float(np.mean(deltas)),
         diameter=float(np.mean(diams)),
@@ -181,7 +204,6 @@ def sampled_delta_matrix(
     batch_size: int = 1500,
     n_batches: int = 3,
     seed: int = 0,
-    workers: int = 1,
 ) -> DeltaReport:
     """Average gromov_delta over seeded uniform subsets of the matrix rows.
 
@@ -190,7 +212,7 @@ def sampled_delta_matrix(
     batch's own diameter, then averaged, so it stays scale-free per batch.
     """
     return _sampled(dm.n, lambda pick: DistanceMatrix(dm.d[np.ix_(pick, pick)]),
-                    batch_size, n_batches, seed, workers)
+                    batch_size, n_batches, seed)
 
 
 def sampled_delta(
@@ -207,8 +229,9 @@ def sampled_delta(
 
     Equals `sampled_delta_matrix(pairwise_distances(points, ...), ...)`
     bit-exactly, but computes only the distances of the sampled rows.
+    `workers` threads the hyperbolic distance matrix only.
     """
     points = np.asarray(points, dtype=np.float64)
     return _sampled(len(points), lambda pick: pairwise_distances(
         points[pick], metric, curv=curv, eps=eps, workers=workers),
-        batch_size, n_batches, seed, workers)
+        batch_size, n_batches, seed)

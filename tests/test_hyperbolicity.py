@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from hypcloud import (
+    Curvature,
     DistanceMatrix,
     four_point_delta,
     gromov_delta,
@@ -126,11 +129,75 @@ def test_fixed_base_below_four_point():
         assert gromov_delta(dm, base) <= exhaustive + 1e-15
 
 
-def test_maxmin_workers_identical():
-    rng = np.random.default_rng(4)
-    pts = rng.normal(size=(150, 3))
-    dm = pairwise_distances(pts)
-    assert gromov_delta(dm, 5, workers=1) == gromov_delta(dm, 5, workers=4)
+def test_maxmin_workers_identical(curv014):
+    # workers threads only the hyperbolic distance matrix (256-row chunks)
+    pts = np.random.default_rng(4).normal(size=(600, 3))
+    kwargs = dict(batch_size=300, n_batches=2, seed=1, curv=curv014)
+    assert (sampled_delta(pts, "hyperbolic", workers=1, **kwargs)
+            == sampled_delta(pts, "hyperbolic", workers=4, **kwargs))
+
+
+# --- the pruned scan against the dense max-min oracle ------------------------
+
+def _dense_maxmin(m):
+    """The dense row loop the pruned scan replaced: max_ij of max_k
+    min(M[i,k], M[k,j]) - M[i,j], evaluated over every (i, j, k)."""
+    worst = -math.inf
+    for i in range(m.shape[0]):
+        maxmin = np.minimum(m[i][:, None], m).max(axis=0)
+        worst = max(worst, float((maxmin - m[i]).max()))
+    return worst
+
+
+def _oracle_delta(d, base):
+    m = 0.5 * (d[:, base][:, None] + d[base, :][None, :] - d)
+    return max(0.0, _dense_maxmin(m))
+
+
+def _symmetric(a):
+    d = a + a.T
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+ORACLE_FAMILIES = {
+    "euclidean": lambda rng, n: pairwise_distances(rng.normal(size=(n, 3))).d,
+    # no triangle inequality: a diagonal entry of M need not be its row max
+    "nonmetric": lambda rng, n: _symmetric(rng.uniform(0.0, 3.0, size=(n, n))),
+    "ties": lambda rng, n: _symmetric(rng.integers(0, 3, size=(n, n)).astype(float)),
+    "clipped": lambda rng, n: pairwise_distances(
+        5.0 * rng.normal(size=(n, 3)), "hyperbolic", curv=Curvature(-1.0)).d,
+    "tree": lambda rng, n: random_tree_metric(rng, n - 1).d,
+}
+
+
+@pytest.mark.parametrize("family", sorted(ORACLE_FAMILIES))
+def test_gromov_delta_matches_dense_oracle(family):
+    rng = np.random.default_rng(sorted(ORACLE_FAMILIES).index(family))
+    for n in (2, 3, 4, 9, 40, 120):
+        for _ in range(3):
+            dm = DistanceMatrix(ORACLE_FAMILIES[family](rng, n))
+            bases = range(n) if n <= 4 else rng.choice(n, size=4, replace=False)
+            for base in bases:
+                got = gromov_delta(dm, int(base))
+                want = _oracle_delta(dm.d, int(base))
+                assert got == want and math.copysign(1.0, got) == 1.0, (n, base)
+                if family == "tree":
+                    assert got == 0.0
+
+
+def test_four_point_delta_matches_dense_oracle():
+    d = pairwise_distances(np.random.default_rng(13).normal(size=(30, 2))).d
+    assert four_point_delta(DistanceMatrix(d)) == max(_oracle_delta(d, b) for b in range(30))
+
+
+def test_gromov_delta_leaves_distances_untouched():
+    d = pairwise_distances(np.random.default_rng(14).normal(size=(50, 3))).d
+    dm = DistanceMatrix(d)
+    before = dm.d.tobytes()
+    for base in (0, 17, 49):
+        gromov_delta(dm, base)
+    assert dm.d.tobytes() == before
 
 
 # --- sampled protocol --------------------------------------------------------
