@@ -9,9 +9,10 @@ Each file is a `perfbench/out/result-*.json` written by `perfbench/run.py`
 trace overwrites it).  The i-th parent file and the i-th child file form
 pair i, and must be runs of the same workload, seed and trace setting.
 Writes BENCH_<label>.json at the repository root with every run's values,
-per-side medians and quartiles per workload and metric, the pairs each side
-won (by the metric's direction in BENCHMARK.json), the seeds, both git SHAs,
-the machine, and the Python and numpy versions.
+per-side medians and quartiles per workload and metric (traced runs under
+"<workload>-trace"), the pairs each side won (by the metric's direction in
+BENCHMARK.json), the seeds, both git SHAs, the machine, and the Python and
+numpy versions.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def summarize(parent: list[dict], child: list[dict], better: dict[str, str]) -> 
         if key != (c["workload"], c["seed"], c["trace"]):
             raise ValueError(f"pair {p['file']} / {c['file']}: {key} against "
                              f"{(c['workload'], c['seed'], c['trace'])}")
-        workload = summary.setdefault(p["workload"], {})
+        workload = summary.setdefault(p["workload"] + ("-trace" if p["trace"] else ""), {})
         for name, pv in p["metrics"].items():
             cv = c["metrics"][name]
             entry = workload.setdefault(name, {"parent": [], "child": [], "child_wins": 0,
