@@ -11,13 +11,14 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .cloud import PointCloud
-from .poincare import BALL_EPS, Curvature, clip_to_ball, geodesic_distance_matrix
+from .poincare import BALL_EPS, CHUNK_ROWS, Curvature, clip_to_ball, geodesic_distance_matrix
 
 VARIANTS = ("l1", "l2")
 
 
 def _nn_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Per-query Euclidean NN distances, same float expression everywhere."""
+    """Euclidean distances between paired rows (leading axes broadcast): the
+    one float expression of the KD-tree and the brute-force paths."""
     return np.sqrt(((queries - points) ** 2).sum(axis=-1))
 
 
@@ -29,12 +30,11 @@ class NNIndex:
     brute-force path uses, and exact ties resolve to the lowest index.
     """
 
-    def __init__(self, cloud: PointCloud, workers: int = 1):
+    def __init__(self, cloud: PointCloud):
         if not isinstance(cloud, PointCloud):
             cloud = PointCloud(cloud)
         self._points = cloud.points
         self._tree = cKDTree(self._points)
-        self._workers = max(1, int(workers))
 
     def __len__(self) -> int:
         return self._points.shape[0]
@@ -48,7 +48,7 @@ class NNIndex:
         if n == 1:
             idx = np.zeros(queries.shape[0], dtype=np.intp)
         else:
-            d2, i2 = self._tree.query(queries, k=2, workers=self._workers)
+            d2, i2 = self._tree.query(queries, k=2)
             idx = i2[:, 0].astype(np.intp)
             # An exact tie at the minimum may be resolved arbitrarily by the
             # tree; repair those rows to the lowest index.
@@ -63,14 +63,13 @@ class NNIndex:
         return idx, dist
 
 
-def euclidean_distance_matrix(xs: np.ndarray, ys: np.ndarray, chunk: int = 256) -> np.ndarray:
+def euclidean_distance_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Dense pairwise Euclidean distances; per-entry symmetric construction."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     out = np.empty((xs.shape[0], ys.shape[0]), dtype=np.float64)
-    for lo in range(0, xs.shape[0], chunk):
-        hi = min(lo + chunk, xs.shape[0])
-        out[lo:hi] = np.sqrt(((xs[lo:hi, None, :] - ys[None, :, :]) ** 2).sum(axis=-1))
+    for lo in range(0, xs.shape[0], CHUNK_ROWS):
+        out[lo:lo + CHUNK_ROWS] = _nn_distances(ys[None, :, :], xs[lo:lo + CHUNK_ROWS, None, :])
     return out
 
 
@@ -85,7 +84,6 @@ def chamfer_distance(
     variant: str = "l1",
     *,
     method: str = "kdtree",
-    workers: int = 1,
 ) -> float:
     """Symmetric Chamfer distance between two clouds.
 
@@ -95,8 +93,8 @@ def chamfer_distance(
     """
     _check_variant(variant)
     if method == "kdtree":
-        d_xy = NNIndex(y, workers=workers).query(x.points)[1]
-        d_yx = NNIndex(x, workers=workers).query(y.points)[1]
+        d_xy = NNIndex(y).query(x.points)[1]
+        d_yx = NNIndex(x).query(y.points)[1]
     elif method == "brute":
         dm = euclidean_distance_matrix(x.points, y.points)
         d_xy = dm.min(axis=1)
@@ -109,14 +107,7 @@ def chamfer_distance(
     return float(d_xy.mean() + d_yx.mean())
 
 
-def hyper_chamfer(
-    x: PointCloud,
-    y: PointCloud,
-    curv: Curvature,
-    eps: float = BALL_EPS,
-    *,
-    workers: int = 1,
-) -> float:
+def hyper_chamfer(x: PointCloud, y: PointCloud, curv: Curvature, eps: float = BALL_EPS) -> float:
     """Chamfer distance under the ball geodesic metric.
 
     Both clouds are first projected into the ball; nearest neighbors are
@@ -125,5 +116,5 @@ def hyper_chamfer(
     """
     xb = clip_to_ball(x.points, curv, eps)
     yb = clip_to_ball(y.points, curv, eps)
-    dm = geodesic_distance_matrix(xb, yb, curv, workers=workers)
+    dm = geodesic_distance_matrix(xb, yb, curv)
     return float(dm.min(axis=1).mean() + dm.min(axis=0).mean())

@@ -60,7 +60,7 @@ def _curvature(args) -> Curvature:
 def cmd_chamfer(args) -> int:
     pred = read_cloud(args.pred)
     gt = read_cloud(args.gt)
-    dist = chamfer_distance(pred, gt, args.variant, method=args.method, workers=args.threads)
+    dist = chamfer_distance(pred, gt, args.variant, method=args.method)
     _emit({"variant": args.variant, "distance": dist,
            "n_pred": len(pred), "n_gt": len(gt)}, args.out, _config_dict(args))
     return EXIT_OK
@@ -70,7 +70,7 @@ def cmd_hypercd(args) -> int:
     pred = read_cloud(args.pred)
     gt = read_cloud(args.gt)
     curv = _curvature(args)
-    dist = hyper_chamfer(pred, gt, curv, args.eps, workers=args.threads)
+    dist = hyper_chamfer(pred, gt, curv, args.eps)
     _emit({"variant": "hypercd", "distance": dist, "k": args.k,
            "n_pred": len(pred), "n_gt": len(gt)}, args.out, _config_dict(args))
     return EXIT_OK
@@ -81,7 +81,7 @@ def cmd_metrics(args) -> int:
         raise UsageError(f"threshold must be positive, got {args.threshold}")
     pred = read_cloud(args.pred)
     gt = read_cloud(args.gt)
-    report = metrics.evaluate(pred, gt, args.threshold, workers=args.threads)
+    report = metrics.evaluate(pred, gt, args.threshold)
     _emit({"acc": report.acc, "comp": report.comp, "cd": report.cd,
            "prec": report.prec, "recall": report.recall, "f1": report.f1,
            "threshold": report.threshold}, args.out, _config_dict(args))
@@ -142,7 +142,7 @@ def cmd_delta(args) -> int:
         curv = _curvature(args) if args.metric == "hyperbolic" else None
         report = hyperbolicity.sampled_delta(
             points, args.metric, batch_size=args.batch, n_batches=args.trials,
-            seed=args.seed, curv=curv, eps=args.eps, workers=args.threads)
+            seed=args.seed, curv=curv, eps=args.eps)
     doc = {"delta": report.delta, "diameter": report.diameter,
            "delta_rel": report.delta_rel, "base_point": report.base_point,
            "batches": report.batches, "samples_per_batch": report.samples_per_batch,
@@ -238,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, k_flag=True):
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker-thread cap (results are identical for any value)")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file of flag defaults; explicit flags win")
         p.add_argument("--out", type=str, default=None,
@@ -321,14 +319,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Fold --config file values in as parser defaults (flags still win)."""
-    if "--config" not in argv:
-        return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
+def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
+    """Fold --config file values in as subcommand defaults (flags still win).
+
+    Each subcommand takes the keys it defines; a key that no subcommand
+    defines is a bad config file.
+    """
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
+        return
     try:
         with open(path, "r", encoding="utf-8") as fh:
             values = json.load(fh)
@@ -336,17 +337,20 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
         raise CloudParseError(path, 1, f"bad config file: {exc}") from None
     if not isinstance(values, dict):
         raise CloudParseError(path, 1, "config file must hold a JSON object")
-    parser.set_defaults(**values)
-    for sp in parser.subcommand_parsers.values():
-        sp.set_defaults(**values)
-    return argv
+    dests = {name: {a.dest for a in sp._actions} - {"help", "config"}
+             for name, sp in parser.subcommand_parsers.items()}
+    unknown = sorted(set(values).difference(*dests.values()))
+    if unknown:
+        raise CloudParseError(path, 1, f"config keys no subcommand defines: {', '.join(unknown)}")
+    for name, sp in parser.subcommand_parsers.items():
+        sp.set_defaults(**{k: v for k, v in values.items() if k in dests[name]})
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
+        _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_OK

@@ -74,7 +74,6 @@ def pairwise_distances(
     metric: str = "euclidean",
     curv: Curvature | None = None,
     eps: float = BALL_EPS,
-    workers: int = 1,
 ) -> DistanceMatrix:
     """Exact pairwise distances under the chosen metric.
 
@@ -89,7 +88,7 @@ def pairwise_distances(
         if curv is None:
             raise ValueError("the hyperbolic metric requires a curvature")
         ball = clip_to_ball(points, curv, eps)
-        d = geodesic_distance_matrix(ball, ball, curv, workers=workers)
+        d = geodesic_distance_matrix(ball, ball, curv)
     else:
         raise ValueError(f"metric must be one of {METRICS}, got {metric!r}")
     return DistanceMatrix(d)
@@ -223,15 +222,12 @@ def sampled_delta(
     seed: int = 0,
     curv: Curvature | None = None,
     eps: float = BALL_EPS,
-    workers: int = 1,
 ) -> DeltaReport:
     """Batched delta estimate straight from points under the chosen metric.
 
     Equals `sampled_delta_matrix(pairwise_distances(points, ...), ...)`
     bit-exactly, but computes only the distances of the sampled rows.
-    `workers` threads the hyperbolic distance matrix only.
     """
     points = np.asarray(points, dtype=np.float64)
     return _sampled(len(points), lambda pick: pairwise_distances(
-        points[pick], metric, curv=curv, eps=eps, workers=workers),
-        batch_size, n_batches, seed)
+        points[pick], metric, curv=curv, eps=eps), batch_size, n_batches, seed)

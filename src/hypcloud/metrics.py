@@ -29,7 +29,7 @@ class MetricsReport:
             raise ValueError("cd must equal acc + comp exactly")
 
 
-def evaluate(pred: PointCloud, gt: PointCloud, threshold: float = 0.1, workers: int = 1) -> MetricsReport:
+def evaluate(pred: PointCloud, gt: PointCloud, threshold: float = 0.1) -> MetricsReport:
     """Evaluate a predicted cloud against ground truth at a distance threshold.
 
     acc is the mean predicted-to-GT NN distance, comp the mean GT-to-predicted
@@ -38,8 +38,8 @@ def evaluate(pred: PointCloud, gt: PointCloud, threshold: float = 0.1, workers: 
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be positive, got {threshold}")
-    d_pred = NNIndex(gt, workers=workers).query(pred.points)[1]
-    d_gt = NNIndex(pred, workers=workers).query(gt.points)[1]
+    d_pred = NNIndex(gt).query(pred.points)[1]
+    d_gt = NNIndex(pred).query(gt.points)[1]
     acc = float(d_pred.mean())
     comp = float(d_gt.mean())
     prec = float((d_pred <= threshold).mean())

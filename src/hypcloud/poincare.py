@@ -211,13 +211,11 @@ def geodesic_distances(xs: np.ndarray, ys: np.ndarray, curv: Curvature) -> np.nd
     return (2.0 / sc) * np.arctanh(arg)
 
 
-def geodesic_distance_matrix(
-    xs: np.ndarray,
-    ys: np.ndarray,
-    curv: Curvature,
-    chunk: int = 256,
-    workers: int = 1,
-) -> np.ndarray:
+# Rows per chunk of the dense distance-matrix builders (here and in chamfer).
+CHUNK_ROWS = 256
+
+
+def geodesic_distance_matrix(xs: np.ndarray, ys: np.ndarray, curv: Curvature) -> np.ndarray:
     """Dense pairwise geodesic distances between ball coordinate rows.
 
     Entries are computed independently from symmetric elementwise
@@ -226,30 +224,10 @@ def geodesic_distance_matrix(
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        return geodesic_distances(xs[lo:hi, None, :], ys[None, :, :], curv)
-
-    return _map_row_chunks(rows, xs.shape[0], ys.shape[0], chunk, workers)
-
-
-def _map_row_chunks(fn, n_rows: int, n_cols: int, chunk: int, workers: int) -> np.ndarray:
-    """Assemble a row-chunked matrix, optionally computing chunks in threads.
-
-    Chunks are written back in index order, so the result is identical for
-    any worker count.
-    """
-    bounds = [(lo, min(lo + chunk, n_rows)) for lo in range(0, n_rows, chunk)]
-    out = np.empty((n_rows, n_cols), dtype=np.float64)
-    if workers <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            out[lo:hi] = fn(lo, hi)
-        return out
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for (lo, hi), block in zip(bounds, pool.map(lambda b: fn(*b), bounds)):
-            out[lo:hi] = block
+    out = np.empty((xs.shape[0], ys.shape[0]), dtype=np.float64)
+    for lo in range(0, xs.shape[0], CHUNK_ROWS):
+        rows = xs[lo:lo + CHUNK_ROWS, None, :]
+        out[lo:lo + CHUNK_ROWS] = geodesic_distances(rows, ys[None, :, :], curv)
     return out
 
 

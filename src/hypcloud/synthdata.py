@@ -108,10 +108,16 @@ class HierarchyManifest:
                 raise ValueError(f"part {s.id} is not smaller than its whole")
             if not np.array_equal(s.cloud.points, parent.cloud.points[: s.n_points]):
                 raise ValueError(f"part {s.id} is not a prefix subset of its whole")
-        for whole_id, parts in self.parts_by_whole().items():
+        parts_of = self.parts_by_whole()
+        for whole in self.wholes():
+            if whole.id not in parts_of:
+                raise ValueError(f"whole {whole.id} has no parts (triplet mining needs positives)")
+        for whole_id, parts in parts_of.items():
             sizes = [p.n_points for p in parts]
             if any(a >= b for a, b in zip(sizes, sizes[1:])):
                 raise ValueError(f"parts of {whole_id} are not strictly increasing in size")
+        if len({s.category for s in self.samples if s.role == "part"}) < 2:
+            raise ValueError("parts must span at least 2 categories (triplet mining needs negatives)")
 
     def parts_by_whole(self) -> dict[str, list[SampleRecord]]:
         out: dict[str, list[SampleRecord]] = {}

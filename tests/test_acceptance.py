@@ -231,16 +231,16 @@ def test_criterion_10_cli_determinism(tmp_path, capsys):
     run_dir = tmp_path / "run"
 
     commands = [
-        ["chamfer", str(a), str(b), "--variant", "l2", "--threads", "1"],
-        ["hypercd", str(a), str(b), "--k", "-0.14", "--threads", "1"],
-        ["metrics", str(a), str(b), "--threshold", "0.25", "--threads", "1"],
-        ["delta", str(sq), "--metric", "euclidean", "--seed", "4", "--threads", "1"],
+        ["chamfer", str(a), str(b), "--variant", "l2"],
+        ["hypercd", str(a), str(b), "--k", "-0.14"],
+        ["metrics", str(a), str(b), "--threshold", "0.25"],
+        ["delta", str(sq), "--metric", "euclidean", "--seed", "4"],
         ["synth", "--out-dir", str(ds), "--categories", "2", "--objects", "2",
-         "--parts", "2", "--points", "128", "--seed", "9", "--threads", "1"],
+         "--parts", "2", "--points", "128", "--seed", "9"],
         ["embed", str(ds / "manifest.json"), "--out-dir", str(run_dir),
          "--epochs", "3", "--dim", "2", "--batch-triplets", "16",
-         "--minibatch", "8", "--threads", "1"],
-        ["gradcheck", "--n-cases", "9", "--seed", "2", "--threads", "1"],
+         "--minibatch", "8"],
+        ["gradcheck", "--n-cases", "9", "--seed", "2"],
     ]
 
     def snapshot(root):

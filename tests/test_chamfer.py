@@ -116,14 +116,6 @@ def test_chamfer_against_loop_oracle():
         (d_xy**2).mean() + (d_yx**2).mean(), rel=1e-12)
 
 
-def test_chamfer_workers_identical():
-    rng = np.random.default_rng(6)
-    x = cloud(rng.normal(size=(500, 3)))
-    y = cloud(rng.normal(size=(400, 3)))
-    assert (chamfer_distance(x, y, "l1", workers=1)
-            == chamfer_distance(x, y, "l1", workers=4))
-
-
 # --- hyperbolic chamfer ------------------------------------------------------
 
 def test_hypercd_identity(curv014):

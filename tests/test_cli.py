@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hypcloud
 from hypcloud import BallPoint, Curvature, PointCloud, clip_to_ball, hyperbolic_norm, write_xyz
 from hypcloud.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
@@ -217,6 +222,28 @@ def test_embed_single_category_error(capsys, tmp_path):
     assert "categories" in err
 
 
+@pytest.mark.parametrize("defect", ["whole_without_parts", "parts_in_one_category"])
+def test_embed_rejects_untrainable_manifest_promptly(capsys, tmp_path, defect):
+    ds = tmp_path / "ds"
+    run(capsys, ["synth", "--out-dir", str(ds), "--categories", "2", "--objects", "2",
+                 "--parts", "2", "--points", "128"])
+    manifest = ds / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    if defect == "whole_without_parts":
+        whole = next(s["id"] for s in doc["samples"] if s["role"] == "whole")
+        doc["samples"] = [s for s in doc["samples"] if s.get("parent_id") != whole]
+    else:  # both categories stay declared
+        doc["samples"] = [s for s in doc["samples"] if s["category"] == "chair"]
+    manifest.write_text(json.dumps(doc))
+    # a subprocess, so that a trainer that loops forever fails the test
+    env = {**os.environ, "PYTHONPATH": str(Path(hypcloud.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "hypcloud", "embed", str(manifest),
+                           "--out-dir", str(tmp_path / "x"), "--epochs", "1"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == EXIT_USAGE
+    assert "triplet mining" in proc.stderr
+
+
 def test_gradcheck_passes(capsys):
     code, out, _ = run(capsys, ["gradcheck", "--n-cases", "12", "--seed", "1"])
     assert code == EXIT_OK
@@ -242,11 +269,53 @@ def test_unknown_command_usage(capsys):
 def test_config_file_defaults_and_flag_override(capsys, tmp_path, clouds):
     a, b = clouds
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"variant": "l2", "threads": 2}))
-    _, out_cfg, _ = run(capsys, ["chamfer", a, b, "--config", str(cfg)])
+    cfg.write_text(json.dumps({"variant": "l2", "method": "brute"}))
+    target = tmp_path / "result.json"
+    _, out_cfg, _ = run(capsys, ["chamfer", a, b, "--config", str(cfg), "--out", str(target)])
     assert json.loads(out_cfg)["variant"] == "l2"
+    assert json.loads(target.read_text())["config"]["method"] == "brute"
     _, out_flag, _ = run(capsys, ["chamfer", a, b, "--config", str(cfg), "--variant", "l1"])
     assert json.loads(out_flag)["variant"] == "l1"
+
+
+def test_config_file_equals_form(capsys, tmp_path, clouds):
+    a, b = clouds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variant": "l2"}))
+    _, spaced, _ = run(capsys, ["chamfer", a, b, "--config", str(cfg)])
+    code, joined, _ = run(capsys, ["chamfer", a, b, f"--config={cfg}"])
+    assert code == EXIT_OK
+    assert joined == spaced
+    assert json.loads(joined)["variant"] == "l2"
+
+
+def test_config_file_unknown_key(capsys, tmp_path, clouds):
+    a, b = clouds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variant": "l2", "threads": 2}))
+    code, out, err = run(capsys, ["chamfer", a, b, f"--config={cfg}"])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert "threads" in err
+
+
+def test_config_keys_of_other_subcommands(capsys, tmp_path, clouds):
+    # one file may serve several subcommands; each takes only its own keys
+    a, b = clouds
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"variant": "l2", "threshold": 0.5}))
+    target = tmp_path / "result.json"
+    code, _, _ = run(capsys, ["metrics", a, b, "--config", str(cfg), "--out", str(target)])
+    assert code == EXIT_OK
+    config = json.loads(target.read_text())["config"]
+    assert config["threshold"] == 0.5
+    assert "variant" not in config
+
+
+def test_threads_flag_is_gone(capsys, clouds):
+    code, _, err = run(capsys, ["chamfer", *clouds, "--threads", "2"])
+    assert code == EXIT_USAGE
+    assert "--threads" in err
 
 
 def test_out_file_embeds_config(capsys, clouds, tmp_path):

@@ -129,14 +129,6 @@ def test_fixed_base_below_four_point():
         assert gromov_delta(dm, base) <= exhaustive + 1e-15
 
 
-def test_maxmin_workers_identical(curv014):
-    # workers threads only the hyperbolic distance matrix (256-row chunks)
-    pts = np.random.default_rng(4).normal(size=(600, 3))
-    kwargs = dict(batch_size=300, n_batches=2, seed=1, curv=curv014)
-    assert (sampled_delta(pts, "hyperbolic", workers=1, **kwargs)
-            == sampled_delta(pts, "hyperbolic", workers=4, **kwargs))
-
-
 # --- the pruned scan against the dense max-min oracle ------------------------
 
 def _dense_maxmin(m):

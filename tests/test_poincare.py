@@ -22,6 +22,7 @@ from hypcloud import (
 from hypcloud.poincare import (
     clip_vjp,
     geodesic_distance_grad,
+    geodesic_distances,
     hyperbolic_norm_grad,
     log_map_origin_vjp,
 )
@@ -196,6 +197,13 @@ def test_distance_matrix_matches_scalar(curv014):
         for j in range(len(ys)):
             assert dm[i, j] == geodesic_distance(ball(xs[i], curv014), ball(ys[j], curv014))
     assert np.array_equal(dm, geodesic_distance_matrix(ys, xs, curv014).T)
+    # 600 rows span three row chunks of the builder
+    big = random_ball_points(rng, 600, 3, curv014)
+    full = geodesic_distance_matrix(big, big, curv014)
+    for i in (0, 255, 256, 511, 512, 599):
+        assert np.array_equal(full[i], geodesic_distances(big[i], big, curv014))
+    assert np.array_equal(full, full.T)
+    assert np.all(np.diag(full) == 0.0)
 
 
 # (x, y, distance at curvature -0.14, relative bound).  The distances were
@@ -260,15 +268,6 @@ def test_distance_matches_high_precision_reference(curv014):
     assert np.all(np.abs(got - want) <= bound * want)
     for x, y, d in zip(xs, ys, got):
         assert geodesic_distance(ball(x, curv014), ball(y, curv014)) == d
-
-
-def test_distance_matrix_workers_identical(curv014):
-    rng = np.random.default_rng(22)
-    xs = random_ball_points(rng, 600, 3, curv014)
-    a = geodesic_distance_matrix(xs, xs, curv014, chunk=128, workers=1)
-    b = geodesic_distance_matrix(xs, xs, curv014, chunk=128, workers=4)
-    assert np.array_equal(a, b)
-    assert np.all(np.diag(a) == 0.0)
 
 
 def test_hyperbolic_norms_batch(unit_curv):

@@ -145,3 +145,11 @@ def test_manifest_invariant_checks(small_manifest):
     chairs = [s for s in samples if s.category == "chair"]
     with pytest.raises(ValueError):
         HierarchyManifest(samples=tuple(chairs), categories=("chair",), seed=0)
+    # two categories declared, but every part in one of them: no negatives
+    with pytest.raises(ValueError, match="2 categories"):
+        HierarchyManifest(samples=tuple(chairs), categories=small_manifest.categories, seed=0)
+    # a whole without parts: no positives
+    whole = next(s for s in samples if s.role == "whole")
+    with pytest.raises(ValueError, match="no parts"):
+        HierarchyManifest(samples=tuple(s for s in samples if s.parent_id != whole.id),
+                          categories=small_manifest.categories, seed=0)
