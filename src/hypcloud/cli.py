@@ -337,13 +337,32 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
         raise CloudParseError(path, 1, f"bad config file: {exc}") from None
     if not isinstance(values, dict):
         raise CloudParseError(path, 1, "config file must hold a JSON object")
-    dests = {name: {a.dest for a in sp._actions} - {"help", "config"}
-             for name, sp in parser.subcommand_parsers.items()}
-    unknown = sorted(set(values).difference(*dests.values()))
+    actions = {name: {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}
+               for name, sp in parser.subcommand_parsers.items()}
+    unknown = sorted(set(values).difference(*actions.values()))
     if unknown:
         raise CloudParseError(path, 1, f"config keys no subcommand defines: {', '.join(unknown)}")
     for name, sp in parser.subcommand_parsers.items():
-        sp.set_defaults(**{k: v for k, v in values.items() if k in dests[name]})
+        sp.set_defaults(**{k: _config_value(path, k, v, actions[name][k])
+                           for k, v in values.items() if k in actions[name]})
+
+
+def _config_value(path, key: str, value, action: argparse.Action):
+    """A config file value, converted and checked as the flag's own text is."""
+    if value is None and action.default is None:
+        return None
+    if action.nargs == 0:  # store_true: the file must say true or false
+        if isinstance(value, bool):
+            return value
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            value = (action.type or str)(str(value))
+        except ValueError:
+            pass
+        else:
+            if action.choices is None or value in action.choices:
+                return value
+    raise CloudParseError(path, 1, f"config key {key!r}: invalid value {value!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

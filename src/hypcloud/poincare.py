@@ -206,8 +206,10 @@ def geodesic_distances(xs: np.ndarray, ys: np.ndarray, curv: Curvature) -> np.nd
     sq = ((xs - ys) ** 2).sum(axis=-1)
     den = (1.0 - (2.0 * c) * dot) + (c * c) * ((xs * xs).sum(axis=-1) * (ys * ys).sum(axis=-1))
     arg = sc * np.sqrt(sq / den)
-    if np.count_nonzero(arg >= 1.0):
-        raise NumericalDomainError("arctanh argument >= 1; input rows must lie inside the ball")
+    # Rows a few ulps from the boundary can round den to zero or below, which
+    # makes arg nan: that is outside the domain as much as arg >= 1.
+    if np.count_nonzero(~(arg < 1.0)):
+        raise NumericalDomainError("arctanh argument >= 1 or nan; rows must lie inside the ball")
     return (2.0 / sc) * np.arctanh(arg)
 
 

@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import hypcloud.chamfer as chamfer_module
 from hypcloud import (
     Curvature,
     NNIndex,
+    NumericalDomainError,
     PointCloud,
     chamfer_distance,
+    clip_to_ball,
     geodesic_distance,
+    geodesic_distance_matrix,
     hyper_chamfer,
     project_to_ball,
 )
@@ -171,6 +176,119 @@ def test_hypercd_nn_is_hyperbolic_not_euclidean():
     got = hyper_chamfer(x, y, curv)
     # x -> y picks the hyperbolic minimum d1; both y points map back to x
     assert got == pytest.approx(d1 + (d0 + d1) / 2, rel=1e-12)
+
+
+def oracle_pairs(rng, c):
+    """(name, x, y) cloud pairs that stress the pruned hyperbolic search."""
+    radius = 1.0 / math.sqrt(c)
+    inside = rng.uniform(-0.5, 0.5, size=(160, 3)) * radius
+    yield "interior", inside, inside[:120] + rng.normal(0.0, 0.02 * radius, size=(120, 3))
+    # x6 as in the boundary benchmark: most points land on the clip margin
+    gt = rng.normal(0.0, 0.25 * radius, size=(150, 3))
+    yield "margin", 6.0 * (gt + rng.normal(0.0, 0.03 * radius, size=gt.shape)), 6.0 * gt[:130]
+    sphere = rng.normal(size=(380, 3)) * 6.0 * radius
+    yield "margin-only", sphere[:190], sphere[190:]
+    direction = rng.normal(size=(220, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    spread = direction * radius * (1.0 - 2.0 ** -rng.uniform(0.0, 18.0, size=(220, 1)))
+    yield "shells", spread[:100], spread[100:]
+    yield "shells-vs-interior", spread, inside
+    dup = np.vstack([inside[:40], inside[:10], inside[5:15]])
+    yield "duplicates", dup, inside[rng.permutation(60)]
+    yield "same", spread, spread
+    lattice = np.round(rng.uniform(-1.0, 1.0, size=(120, 3)) * 3.0) / 3.0 * 0.9 * radius
+    yield "lattice", lattice[:70], lattice[70:]
+    yield "lattice-margin", 4.0 * lattice[:60], 4.0 * lattice[60:] + 0.5 * radius
+    yield "1x1", inside[:1], spread[:1]
+    yield "1x50", spread[:1], inside[:50]
+    yield "2x1", spread[:2], inside[:1]
+    yield "2x2", 6.0 * inside[:2], inside[2:4]
+    yield "40x2", 6.0 * gt[:40], spread[:2]
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-7])
+@pytest.mark.parametrize("c", [0.14, 1.0, 2.5])
+def test_hypercd_pruned_minima_equal_dense(c, eps):
+    curv = Curvature(-c)
+    rng = np.random.default_rng(11)
+    for name, x, y in oracle_pairs(rng, c):
+        xb, yb = clip_to_ball(x, curv, eps), clip_to_ball(y, curv, eps)
+        dm = geodesic_distance_matrix(xb, yb, curv)
+        d_xy, d_yx = chamfer_module._hyper_minima(xb, yb, curv)
+        assert np.array_equal(d_xy, dm.min(axis=1)), name
+        assert np.array_equal(d_yx, dm.min(axis=0)), name
+        want = float(dm.min(axis=1).mean() + dm.min(axis=0).mean())
+        assert hyper_chamfer(cloud(x), cloud(y), curv, eps) == want, name
+
+
+def test_hypercd_oracle_clouds_span_many_shells():
+    # shells group a cloud by the binary exponent of 1 - c|y|^2
+    curv = Curvature(-2.5)
+    clouds = {name: y for name, _, y in oracle_pairs(np.random.default_rng(11), curv.c)}
+    for name, least in (("shells", 12), ("margin", 4)):
+        yb = clip_to_ball(clouds[name], curv)
+        assert len(np.unique(np.frexp(1.0 - curv.c * (yb * yb).sum(axis=1))[1])) >= least, name
+
+
+def test_hypercd_needs_no_dense_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hyper_chamfer built the dense distance matrix")
+
+    monkeypatch.setattr(chamfer_module, "geodesic_distance_matrix", refuse)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(-1.0, 1.0, size=(16384, 3))
+    y = x + rng.normal(0.0, 0.03, size=x.shape)
+    tracemalloc.start()
+    try:
+        got = hyper_chamfer(cloud(x), cloud(y), Curvature(-0.14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0.0 < got < math.inf
+    # the dense 16384 x 16384 float64 matrix alone takes 2 GiB
+    assert peak < 64 * 2**20
+
+
+def test_hypercd_vacuous_bound_takes_whole_shells():
+    # At eps = 4e-8 the error bound says nothing, so every target is a
+    # candidate; whole shells are evaluated in blocks, not as index lists.
+    curv = Curvature(-0.14)
+    rng = np.random.default_rng(14)
+    x = rng.normal(size=(2048, 3)) * 6.0 / math.sqrt(0.14)
+    y = x + rng.normal(0.0, 0.01, size=x.shape)
+    xb, yb = clip_to_ball(x, curv, 4e-8), clip_to_ball(y, curv, 4e-8)
+    a_x, a_y = (1.0 - curv.c * (pts * pts).sum(axis=1) for pts in (xb, yb))
+    assert chamfer_module.distance_tolerance(a_x.min() * a_y.min(), 3) == math.inf
+    dm = geodesic_distance_matrix(xb, yb, curv)
+    want = float(dm.min(axis=1).mean() + dm.min(axis=0).mean())
+    del dm
+    tracemalloc.start()
+    try:
+        got = hyper_chamfer(cloud(x), cloud(y), curv, 4e-8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    # index lists for every pair took about 330 MB here
+    assert peak < 32 * 2**20
+
+
+def test_hypercd_where_dense_raised():
+    # At eps = 1e-8 the Mobius-form distance of two margin points can round
+    # its arctanh argument up to 1 (the pruning bound is vacuous there).  The
+    # dense matrix raised on such a pair although no nearest neighbour needs it.
+    curv = Curvature(-0.14)
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(200, 3)) * 6.0 / math.sqrt(0.14)
+    xb = clip_to_ball(x, curv, 1e-8)
+    with pytest.raises(NumericalDomainError):
+        geodesic_distance_matrix(xb, xb, curv)
+    # every point's seed is itself at distance 0, so no other pair is evaluated
+    assert hyper_chamfer(cloud(x), cloud(x), curv, 1e-8) == 0.0
+    # a jittered copy makes every pair a candidate, and those reaching 1 raise
+    y = x + rng.normal(0.0, 0.01, size=x.shape)
+    with pytest.raises(NumericalDomainError):
+        hyper_chamfer(cloud(x), cloud(y), curv, 1e-8)
 
 
 def test_chamfer_indiscernibles_set_level():

@@ -244,6 +244,23 @@ def test_embed_rejects_untrainable_manifest_promptly(capsys, tmp_path, defect):
     assert "triplet mining" in proc.stderr
 
 
+def test_hypercd_tiny_eps_margin_clouds(capsys, tmp_path):
+    # eps = 1e-8 on margin clouds: identical files need no far pair and give 0
+    # (the dense matrix exited 4 here); a jittered copy still exits 4
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(100, 3)) * 20.0
+    a, b = tmp_path / "a.xyz", tmp_path / "b.xyz"
+    write_xyz(a, PointCloud(pts))
+    write_xyz(b, PointCloud(pts + rng.normal(0.0, 0.05, size=pts.shape)))
+    code, out, _ = run(capsys, ["hypercd", str(a), str(a), "--eps", "1e-8"])
+    assert code == EXIT_OK
+    assert json.loads(out)["distance"] == 0.0
+    with np.errstate(invalid="ignore"):
+        code, _, err = run(capsys, ["hypercd", str(a), str(b), "--eps", "1e-8"])
+    assert code == EXIT_NUMERICAL
+    assert "arctanh" in err
+
+
 def test_gradcheck_passes(capsys):
     code, out, _ = run(capsys, ["gradcheck", "--n-cases", "12", "--seed", "1"])
     assert code == EXIT_OK
@@ -310,6 +327,32 @@ def test_config_keys_of_other_subcommands(capsys, tmp_path, clouds):
     config = json.loads(target.read_text())["config"]
     assert config["threshold"] == 0.5
     assert "variant" not in config
+
+
+@pytest.mark.parametrize("values", [
+    {"n_cases": 2.5},            # not an int: gradcheck died in range()
+    {"seed": "three"},
+    {"inject_sign_flip": 1},     # a store_true flag takes true or false only
+    {"reg_space": "spherical"},  # not one of the flag's choices
+    {"variant": 2},
+])
+def test_config_file_bad_values(capsys, tmp_path, values):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    code, out, err = run(capsys, ["gradcheck", "--config", str(cfg)])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert next(iter(values)) in err
+
+
+def test_config_file_values_convert_like_flags(capsys, tmp_path, clouds):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"eps": "1e-4", "k": -1, "out": None, "variant": "l2"}))
+    target = tmp_path / "result.json"
+    code, _, _ = run(capsys, ["hypercd", *clouds, "--config", str(cfg), "--out", str(target)])
+    assert code == EXIT_OK
+    config = json.loads(target.read_text())["config"]
+    assert config["eps"] == 1e-4 and config["k"] == -1.0
 
 
 def test_threads_flag_is_gone(capsys, clouds):

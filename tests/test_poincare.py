@@ -270,6 +270,54 @@ def test_distance_matches_high_precision_reference(curv014):
         assert geodesic_distance(ball(x, curv014), ball(y, curv014)) == d
 
 
+def mp_relative_error(d, x, y, c):
+    """|d - exact| / exact for the ball distance of float64 rows, in 60 digits."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        x = [mpmath.mpf(float(v)) for v in x]
+        y = [mpmath.mpf(float(v)) for v in y]
+        c = mpmath.mpf(c)
+        q = sum((a - b) ** 2 for a, b in zip(x, y))
+        ax = 1 - c * sum(a * a for a in x)
+        ay = 1 - c * sum(b * b for b in y)
+        exact = mpmath.acosh(1 + 2 * c * q / (ax * ay)) / mpmath.sqrt(c)
+        return float(abs(mpmath.mpf(float(d)) - exact) / exact)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-6, 1e-7])
+def test_distance_error_within_pruning_tolerance(eps):
+    # The pruned HyperCD search widens its bound by tau, derived from a
+    # forward-error bound of this kernel; near-coincident pairs on the clip
+    # margin, where 1 - 2c<x,y> + c^2|x|^2|y|^2 cancels, must stay within tau/4.
+    from hypcloud.chamfer import distance_tolerance
+
+    rng = np.random.default_rng(47)
+    for c in (0.14, 1.0, 2.5):
+        curv = Curvature(-c)
+        for apart in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+            base = rng.normal(size=(4, 3))
+            base /= np.linalg.norm(base, axis=1, keepdims=True)
+            step = rng.normal(size=(4, 3))
+            step *= apart / np.linalg.norm(step, axis=1, keepdims=True)
+            xs = clip_to_ball(2.0 * curv.ball_radius * base, curv, eps)
+            ys = clip_to_ball(2.0 * curv.ball_radius * (base + step), curv, eps)
+            got = geodesic_distances(xs, ys, curv)
+            a = 1.0 - c * (xs * xs).sum(axis=1)
+            b = 1.0 - c * (ys * ys).sum(axis=1)
+            for x, y, d, a_min in zip(xs, ys, got, a * b):
+                rel = mp_relative_error(d, x, y, c)
+                assert rel <= distance_tolerance(float(a_min), 3) / 4, (c, apart, rel)
+
+
+def test_nan_argument_raises(unit_curv):
+    # 1e-9 from the boundary, 1 - 2c<x,x> + c^2|x|^4 rounds to 0, so the
+    # argument is 0/0: outside the domain like an argument >= 1
+    x = clip_to_ball(np.array([[10.0, 0.0, 0.0]]), unit_curv, 1e-9)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalDomainError):
+        geodesic_distances(x, x, unit_curv)
+
+
 def test_hyperbolic_norms_batch(unit_curv):
     rng = np.random.default_rng(23)
     xs = random_ball_points(rng, 50, 3, unit_curv)
