@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -187,47 +186,68 @@ def loss_gradients(
     """Exact analytic gradients of mean(L_Z) + mean(L_T) over the batch.
 
     `state` must expose `table` (sample id -> trainable vector) and `head`
-    (a MarginHead).  The trainable vectors double as the margin head's input
-    features.  Hinge subgradients are zero at kinks; the ball projection
-    contributes the identity inside the margin radius and the exact Jacobian
-    of the radial rescaling outside it.  A sample gets a gradient entry iff
-    it appears in at least one hinge-active example.
+    (a MarginHead).  A view of `row_loss_gradients` on the batch's rows in
+    order of first appearance; a sample gets a gradient entry iff it appears
+    in at least one hinge-active example.
+    """
+    if not batch.pairs and not batch.triplets:
+        raise ValueError("loss batch is empty")
+    pair_ids = [(e.part_id, e.whole_id) for e in batch.pairs]
+    trip_ids = [(e.whole_id, e.pos_id, e.neg_id) for e in batch.triplets]
+    ids = list(dict.fromkeys(sid for example in pair_ids + trip_ids for sid in example))
+    row = {sid: i for i, sid in enumerate(ids)}
+    grad, touched, gw, gb, report = row_loss_gradients(
+        np.stack([state.table[sid] for sid in ids]), state.head,
+        np.array([[row[s] for s in ex] for ex in pair_ids], dtype=np.intp).reshape(-1, 2),
+        np.array([e.n_points for e in batch.pairs], dtype=np.float64),
+        np.array([[row[s] for s in ex] for ex in trip_ids], dtype=np.intp).reshape(-1, 3),
+        curv, eps, margin_eps, reg_space=reg_space, triplet_metric=triplet_metric)
+    return GradientBundle(embeddings={ids[i]: grad[i] for i in np.flatnonzero(touched)},
+                          head_weights=gw, head_bias=gb, report=report)
 
-    The batch's rows are gathered once; every example is evaluated at once
-    on them, and per-example gradients are scattered back onto the rows.
+
+def row_loss_gradients(
+    theta: np.ndarray,
+    head: MarginHead,
+    pairs: np.ndarray,
+    n_points: np.ndarray,
+    trips: np.ndarray,
+    curv: Curvature,
+    eps: float = BALL_EPS,
+    margin_eps: float = 4.0,
+    *,
+    reg_space: str = "hyperbolic",
+    triplet_metric: str = "tangent",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, LossReport]:
+    """mean(L_Z) + mean(L_T) and its exact gradients, on rows `theta` (R, d).
+
+    The rows double as the margin head's features.  `pairs` (P, 2) holds
+    (part, whole) and `trips` (T, 3) (anchor, positive, negative) row
+    indices, `n_points` (P,) the part sizes.  Per-example gradients are
+    scattered onto the rows in example order.  Hinge subgradients are zero at
+    kinks; the ball clip contributes the identity inside the margin radius
+    and the exact Jacobian of the radial rescaling outside it.  Returns
+    (grad (R, d), touched (R,), head weight grad, head bias grad, LossReport);
+    a row is touched iff it is in a hinge-active example.
     """
     if reg_space not in REG_SPACES:
         raise ValueError(f"reg_space must be one of {REG_SPACES}, got {reg_space!r}")
     if triplet_metric not in TRIPLET_METRICS:
         raise ValueError(f"triplet_metric must be one of {TRIPLET_METRICS}, got {triplet_metric!r}")
-    if not batch.pairs and not batch.triplets:
-        raise ValueError("loss batch is empty")
-    head = state.head
-    pair_ids = [(e.part_id, e.whole_id) for e in batch.pairs]
-    trip_ids = [(e.whole_id, e.pos_id, e.neg_id) for e in batch.triplets]
-    ids = list(dict.fromkeys(sid for example in pair_ids + trip_ids for sid in example))
-    row = {sid: i for i, sid in enumerate(ids)}
-    pairs = np.array([[row[s] for s in ex] for ex in pair_ids], dtype=np.intp).reshape(-1, 2)
-    trips = np.array([[row[s] for s in ex] for ex in trip_ids], dtype=np.intp).reshape(-1, 3)
-    theta = np.stack([state.table[sid] for sid in ids])
+    if not margin_eps > 0:
+        raise ValueError(f"margin_eps must be positive, got {margin_eps}")
     dim = theta.shape[1]
-    if batch.pairs and head.weights.shape[0] != 2 * dim:
+    if len(pairs) and head.weights.shape[0] != 2 * dim:
         raise ValueError(
             f"head width {head.weights.shape[0]} does not match embedding dim {dim} (need 2*dim)")
     emb = clip_to_ball(theta, curv, eps)
     g_emb = np.zeros_like(theta)    # gradient wrt the clipped rows
     g_theta = np.zeros_like(theta)  # gradient reaching theta directly (head features)
-    touched = np.zeros(len(ids), dtype=bool)
-
-    def scatter(grad, terms, on, scale):
-        for idx, g in terms:
-            np.add.at(grad, idx[on], scale * g[on])
-            touched[idx[on]] = True
+    touched = np.zeros(len(theta), dtype=bool)
 
     l_z, gw, gb = 0.0, np.zeros_like(head.weights), 0.0
-    if batch.pairs:
+    if len(pairs):
         p, w = pairs[:, 0], pairs[:, 1]
-        n_points = np.array([e.n_points for e in batch.pairs], dtype=np.float64)
         if reg_space == "hyperbolic":
             h, dh = hyperbolic_norms(emb, curv), hyperbolic_norm_grad(emb, curv)
         else:
@@ -237,17 +257,21 @@ def loss_gradients(
         sig = sigmoid(feats @ head.weights + head.bias)
         val = -h[w] + h[p] + head.gamma0 * sig / n_points
         on = val > 0.0
-        l_z = float(val[on].sum()) / len(batch.pairs)
-        scale = 1.0 / len(batch.pairs)
-        scatter(g_emb, ((p, dh[p]), (w, -dh[w])), on, scale)
+        l_z = float(val[on].sum()) / len(pairs)
+        # Scatter onto the parts, then the wholes, in example order.
+        scale, idx, on2 = 1.0 / len(pairs), pairs.T.ravel(), np.tile(on, 2)
+        np.add.at(g_emb, idx[on2], scale * np.concatenate([dh[p], -dh[w]])[on2])
         dsig = (head.gamma0 * sig * (1.0 - sig) / n_points)[:, None]
-        scatter(g_theta, ((p, dsig * head.weights[:dim]), (w, dsig * head.weights[dim:])), on, scale)
+        g = np.concatenate([dsig * head.weights[:dim], dsig * head.weights[dim:]])
+        np.add.at(g_theta, idx[on2], scale * g[on2])
+        touched[idx[on2]] = True
         gw = scale * (dsig[on] * feats[on]).sum(axis=0)
         gb = scale * float(dsig[on].sum())
 
     l_t = 0.0
-    if batch.triplets:
+    if len(trips):
         a, pos, neg = trips[:, 0], trips[:, 1], trips[:, 2]
+        idx = trips.T.ravel()  # all anchors, then all positives, then all negatives
         if triplet_metric == "tangent":
             tan = log_maps_origin(emb, curv)
             diff_pos, diff_neg = tan[a] - tan[pos], tan[a] - tan[neg]
@@ -255,24 +279,22 @@ def loss_gradients(
             d_neg = np.linalg.norm(diff_neg, axis=-1)
             u_pos = diff_pos / np.where(d_pos > 0.0, d_pos, 1.0)[:, None]
             u_neg = diff_neg / np.where(d_neg > 0.0, d_neg, 1.0)[:, None]
-            g_a = log_map_origin_vjp(u_pos - u_neg, emb[a], curv)
-            g_pos = log_map_origin_vjp(-u_pos, emb[pos], curv)
-            g_neg = log_map_origin_vjp(u_neg, emb[neg], curv)
+            g = log_map_origin_vjp(np.concatenate([u_pos - u_neg, -u_pos, u_neg]), emb[idx], curv)
         else:
             d_pos = geodesic_distances(emb[a], emb[pos], curv)
             d_neg = geodesic_distances(emb[a], emb[neg], curv)
             gpx, g_pos = geodesic_distance_grad(emb[a], emb[pos], curv)
             gnx, gny = geodesic_distance_grad(emb[a], emb[neg], curv)
-            g_a, g_neg = gpx - gnx, -gny
+            g = np.concatenate([gpx - gnx, g_pos, -gny])
         val = d_pos - d_neg + margin_eps
         on = val > 0.0
-        l_t = float(val[on].sum()) / len(batch.triplets)
-        scatter(g_emb, ((a, g_a), (pos, g_pos), (neg, g_neg)), on, 1.0 / len(batch.triplets))
+        l_t = float(val[on].sum()) / len(trips)
+        on3 = np.tile(on, 3)
+        np.add.at(g_emb, idx[on3], (1.0 / len(trips)) * g[on3])
+        touched[idx[on3]] = True
 
     grad = clip_vjp(g_emb, theta, curv, eps) + g_theta
-    return GradientBundle(
-        embeddings={ids[i]: grad[i] for i in np.flatnonzero(touched)},
-        head_weights=gw, head_bias=gb, report=total_loss(l_z, l_t))
+    return grad, touched, gw, gb, total_loss(l_z, l_t)
 
 
 # --- finite-difference verification ----------------------------------------
@@ -303,6 +325,12 @@ def _interior_point(rng: np.random.Generator, dim: int, curv: Curvature) -> np.n
     direction = rng.normal(size=dim)
     direction /= np.linalg.norm(direction)
     return rng.uniform(0.05, 0.7) * curv.ball_radius * direction
+
+
+# One (part, whole) pair or one (anchor, positive, negative) triplet on rows 0..2.
+_PAIR, _NO_PAIRS = np.array([[0, 1]]), np.empty((0, 2), dtype=np.intp)
+_TRIPLET, _NO_TRIPLETS = np.array([[0, 1, 2]]), np.empty((0, 3), dtype=np.intp)
+_NO_SIZES = np.empty(0)
 
 
 def gradient_check_cases(
@@ -341,49 +369,36 @@ def gradient_check_cases(
         elif kind == "reg_pair":
             head = MarginHead(rng.normal(scale=0.3, size=2 * dim), float(rng.normal(scale=0.5)),
                               float(rng.uniform(1.0, 1000.0)))
-            n_points = int(rng.integers(1, 1000))
-            for _ in range(200):
-                theta_p = _interior_point(rng, dim, curv)
-                theta_w = _interior_point(rng, dim, curv)
-                state = SimpleNamespace(table={"p": theta_p, "w": theta_w}, head=head)
-                batch = LossBatch(pairs=(PairExample("p", "w", n_points),))
-                bundle = loss_gradients(batch, state, curv)
-                if bundle.report.l_z > 1e-3:
-                    break
-            analytic = np.concatenate([
-                bundle.embeddings["p"], bundle.embeddings["w"],
-                bundle.head_weights, [bundle.head_bias]])
+            n_points = np.array([float(rng.integers(1, 1000))])
 
-            def fn(v, dim=dim, curv=curv, head=head, n_points=n_points):
+            def fn(v, dim=dim, curv=curv, head=head, n_points=n_points, full=False):
                 trial_head = MarginHead(v[2 * dim:4 * dim], float(v[4 * dim]), head.gamma0)
-                trial = SimpleNamespace(table={"p": v[:dim], "w": v[dim:2 * dim]}, head=trial_head)
-                out = loss_gradients(
-                    LossBatch(pairs=(PairExample("p", "w", n_points),)), trial, curv)
-                return out.report.l_z
+                out = row_loss_gradients(v[:2 * dim].reshape(2, dim), trial_head, _PAIR,
+                                         n_points, _NO_TRIPLETS, curv)
+                return out if full else out[-1].l_z
 
-            point = np.concatenate([theta_p, theta_w, head.weights, [head.bias]])
+            for _ in range(200):
+                point = np.concatenate([_interior_point(rng, dim, curv),
+                                        _interior_point(rng, dim, curv), head.weights, [head.bias]])
+                grad, _, gw, gb, report = fn(point, full=True)
+                if report.l_z > 1e-3:
+                    break
+            analytic = np.concatenate([grad.ravel(), gw, [gb]])
         else:
-            theta = [_interior_point(rng, dim, curv) for _ in range(3)]
+            theta = np.stack([_interior_point(rng, dim, curv) for _ in range(3)])
             head = MarginHead.zeros(2 * dim, 1.0)
-            state = SimpleNamespace(table={"w": theta[0], "p": theta[1], "n": theta[2]}, head=head)
-            t = {k: log_map_origin(BallPoint(clip_to_ball(v, curv), curv)).coords
-                 for k, v in state.table.items()}
-            d_pos = float(np.linalg.norm(t["w"] - t["p"]))
-            d_neg = float(np.linalg.norm(t["w"] - t["n"]))
+            t = log_maps_origin(clip_to_ball(theta, curv), curv)
+            d_pos = float(np.linalg.norm(t[0] - t[1]))
+            d_neg = float(np.linalg.norm(t[0] - t[2]))
             margin = max(1e-2, d_neg - d_pos + float(rng.uniform(0.5, 2.0)))
-            batch = LossBatch(triplets=(TripletExample("w", "p", "n"),))
-            bundle = loss_gradients(batch, state, curv, margin_eps=margin)
-            analytic = np.concatenate([bundle.embeddings[k] for k in ("w", "p", "n")])
 
             def fn(v, dim=dim, curv=curv, head=head, margin=margin):
-                trial = SimpleNamespace(
-                    table={"w": v[:dim], "p": v[dim:2 * dim], "n": v[2 * dim:]}, head=head)
-                out = loss_gradients(
-                    LossBatch(triplets=(TripletExample("w", "p", "n"),)), trial, curv,
-                    margin_eps=margin)
-                return out.report.l_t
+                return row_loss_gradients(v.reshape(3, dim), head, _NO_PAIRS, _NO_SIZES,
+                                          _TRIPLET, curv, margin_eps=margin)[-1].l_t
 
-            point = np.concatenate(theta)
+            point = theta.ravel()
+            analytic = row_loss_gradients(theta, head, _NO_PAIRS, _NO_SIZES, _TRIPLET, curv,
+                                          margin_eps=margin)[0].ravel()
         if flip_sign:
             analytic = analytic.copy()
             analytic[0] = -analytic[0] - 1.0

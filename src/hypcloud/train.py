@@ -12,7 +12,6 @@ import hashlib
 import math
 from collections.abc import MutableMapping
 from dataclasses import dataclass, field
-from itertools import zip_longest
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from .losses import (
     PairExample,
     TripletExample,
     loss_gradients,
+    row_loss_gradients,
 )
 # hyperbolic_norm and log_map_origin are unused here but perfbench/tracing.py patches them.
 from .poincare import (BALL_EPS, Curvature, clip_to_ball, hyperbolic_norm, hyperbolic_norms,
@@ -62,8 +62,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate < 0:
-            raise ValueError("learning_rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.margin_eps) and self.margin_eps > 0):
+            raise ValueError(f"margin_eps must be finite and > 0, got {self.margin_eps}")
         if self.dim < 2:
             raise ValueError("dim must be >= 2")
         if self.batch_triplets < 1 or self.minibatch < 1:
@@ -134,35 +136,61 @@ def positive_pairs(manifest: HierarchyManifest) -> list[PairExample]:
             for s in manifest.samples if s.role == "part"]
 
 
-def _draw_triplets(manifest: HierarchyManifest, anchors,
-                   rng: np.random.Generator) -> list[TripletExample]:
-    """One (anchor, own part, other-category part) triplet per anchor whole;
-    `anchors` is consumed lazily, so it may draw each whole from `rng` first."""
-    parts = [s for s in manifest.samples if s.role == "part"]
-    parts_of = manifest.parts_by_whole()
-    out = []
-    for whole in anchors:
-        own = parts_of[whole.id]
-        pos = own[int(rng.integers(len(own)))]
-        while True:
-            neg = parts[int(rng.integers(len(parts)))]
-            if neg.category != whole.category:
-                break
-        out.append(TripletExample(whole.id, pos.id, neg.id))
-    return out
+def _padded(lists) -> tuple[np.ndarray, np.ndarray]:
+    """The int lists as rows of one zero-padded array, and their lengths."""
+    lengths = np.array([len(x) for x in lists], dtype=np.intp)
+    out = np.zeros((len(lists), max(lengths, default=0)), dtype=np.intp)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = [i for x in lists for i in x]
+    return out, lengths
+
+
+class _TripletTables:
+    """A manifest as row indices, for rows in the order of `ids` (default: the
+    manifest's).  `pairs` (P, 2) holds (part, whole) in `positive_pairs`
+    order; row w of `own` the parts of the w-th whole, `n_own[w]` of them;
+    row k of `foreign` the parts of every category but the k-th, and
+    `category[w]` is the k of whole w.  A uniform pick from a row prefix is a
+    uniform pick among own parts or among other categories' parts."""
+
+    def __init__(self, manifest: HierarchyManifest, ids=None):
+        self.ids = [s.id for s in manifest.samples] if ids is None else list(ids)
+        at = {sid: i for i, sid in enumerate(self.ids)}
+        wholes, parts = manifest.wholes(), [s for s in manifest.samples if s.role == "part"]
+        parts_of = manifest.parts_by_whole()
+        categories = {c: k for k, c in
+                      enumerate(dict.fromkeys(s.category for s in manifest.samples))}
+        self.pairs = np.array([[at[p.id], at[p.parent_id]] for p in parts],
+                              dtype=np.intp).reshape(-1, 2)
+        self.n_points = np.array([p.n_points for p in parts], dtype=np.float64)
+        self.wholes = np.array([at[w.id] for w in wholes], dtype=np.intp)
+        self.category = np.array([categories[w.category] for w in wholes], dtype=np.intp)
+        self.own, self.n_own = _padded([[at[p.id] for p in parts_of.get(w.id, ())] for w in wholes])
+        self.foreign, self.n_foreign = _padded(
+            [[at[p.id] for p in parts if p.category != c] for c in categories])
+
+    def draw(self, anchors: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """(T, 3) rows (anchor, positive, negative) for the whole positions
+        `anchors`; all positives are drawn from `rng`, then all negatives."""
+        pos = self.own[anchors, rng.integers(self.n_own[anchors])]
+        cat = self.category[anchors]
+        neg = self.foreign[cat, rng.integers(self.n_foreign[cat])]
+        return np.stack([self.wholes[anchors], pos, neg], axis=1)
+
+    def sample(self, count: int, rng: np.random.Generator) -> np.ndarray:
+        """`draw` for `count` anchors drawn uniformly over the wholes first."""
+        return self.draw(rng.integers(len(self.wholes), size=count), rng)
+
+    def examples(self, rows: np.ndarray) -> list[TripletExample]:
+        ids = self.ids
+        return [TripletExample(ids[a], ids[p], ids[n]) for a, p, n in rows.tolist()]
 
 
 def sample_triplets(manifest: HierarchyManifest, count: int,
                     rng: np.random.Generator) -> list[TripletExample]:
-    """Anchor wholes uniformly; positives from the anchor's own parts,
-    negatives uniformly from parts of other categories."""
-    wholes = manifest.wholes()
-    return _draw_triplets(
-        manifest, (wholes[int(rng.integers(len(wholes)))] for _ in range(count)), rng)
-
-
-def _chunks(items, size):
-    return [items[lo:lo + size] for lo in range(0, len(items), size)]
+    """Anchor wholes uniformly; positives uniformly from the anchor's own
+    parts, negatives uniformly from parts of other categories."""
+    tables = _TripletTables(manifest)
+    return tables.examples(tables.sample(count, rng))
 
 
 # --- optimizer --------------------------------------------------------------
@@ -193,6 +221,24 @@ class AdamOptimizer:
         return value[rows] - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
+def _adam_step(state: EmbeddingState, optimizer: AdamOptimizer, rows: np.ndarray,
+               grads: np.ndarray, head_grad, total: float):
+    """Adam on table rows `rows` and, unless `head_grad` is None, the head."""
+    optimizer.t += 1
+    table = state.table
+    updated = optimizer.update("table", table.rows, grads, rows)
+    finite = np.isfinite(updated).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(f"embedding for sample {table.ids[rows[np.argmin(finite)]]!r} "
+                              f"became non-finite at step {optimizer.t}")
+    table.rows[rows] = clip_to_ball(updated, state.curvature, state.eps)
+    if head_grad is not None:
+        head = optimizer.update("head", np.append(state.head.weights, state.head.bias), head_grad)
+        state.head.weights, state.head.bias = head[:-1], float(head[-1])
+    if not math.isfinite(total):
+        raise DivergenceError(f"non-finite loss at step {optimizer.t}")
+
+
 def train_step(state: EmbeddingState, batch: LossBatch, optimizer: AdamOptimizer,
                config: TrainConfig) -> GradientBundle:
     """One optimizer step on a batch: gradients, Adam on the touched rows and
@@ -200,31 +246,12 @@ def train_step(state: EmbeddingState, batch: LossBatch, optimizer: AdamOptimizer
     bundle = loss_gradients(
         batch, state, state.curvature, state.eps, config.margin_eps,
         reg_space=config.reg_space, triplet_metric=config.triplet_metric)
-    optimizer.t += 1
-    table, ids = state.table, list(bundle.embeddings)
-    rows = np.array([table.index[sid] for sid in ids], dtype=np.intp)
-    grads = np.reshape([bundle.embeddings[sid] for sid in ids], (rows.size, table.rows.shape[1]))
-    updated = optimizer.update("table", table.rows, grads, rows)
-    finite = np.isfinite(updated).all(axis=1)
-    if not finite.all():
-        raise DivergenceError(f"embedding for sample {ids[int(np.argmin(finite))]!r} "
-                              f"became non-finite at step {optimizer.t}")
-    table.rows[rows] = clip_to_ball(updated, state.curvature, state.eps)
-    if batch.pairs:
-        head = optimizer.update("head", np.append(state.head.weights, state.head.bias),
-                                np.append(bundle.head_weights, bundle.head_bias))
-        state.head.weights, state.head.bias = head[:-1], float(head[-1])
-    if not math.isfinite(bundle.report.total):
-        raise DivergenceError(f"non-finite loss at step {optimizer.t}")
+    table = state.table
+    rows = np.array([table.index[sid] for sid in bundle.embeddings], dtype=np.intp)
+    grads = np.reshape(list(bundle.embeddings.values()), (rows.size, table.rows.shape[1]))
+    head_grad = np.append(bundle.head_weights, bundle.head_bias) if batch.pairs else None
+    _adam_step(state, optimizer, rows, grads, head_grad, bundle.report.total)
     return bundle
-
-
-def _reference_batch(manifest: HierarchyManifest, config: TrainConfig) -> LossBatch:
-    """Fixed seeded batch the loss curve is recorded on each epoch."""
-    rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(_REF_STREAM,)))
-    return LossBatch(pairs=tuple(positive_pairs(manifest)),
-                     triplets=tuple(sample_triplets(manifest, config.batch_triplets, rng)))
 
 
 def train(state: EmbeddingState, manifest: HierarchyManifest,
@@ -235,26 +262,38 @@ def train(state: EmbeddingState, manifest: HierarchyManifest,
     Each epoch samples batch_triplets fresh triplets plus all positive pairs,
     walks them in fixed-size minibatches, and then records the loss on a fixed
     seeded reference batch so the curve is comparable across epochs (and
-    exactly constant at zero learning rate).
+    exactly constant at zero learning rate).  It runs on table rows, bit for
+    bit as `sample_triplets`, `train_step` and `loss_gradients` would.
     """
     if len(manifest.categories) < 2:
         raise ValueError("triplet mining needs at least 2 categories for negatives")
-    pairs = positive_pairs(manifest)
-    if not pairs:
+    tables = _TripletTables(manifest, state.table.ids)
+    pair_rows, n_points, size = tables.pairs, tables.n_points, config.minibatch
+    if not len(pair_rows):
         raise ValueError("manifest contains no (part, whole) pairs")
-    reference = _reference_batch(manifest, config)
+    ref_trips = tables.sample(config.batch_triplets, np.random.default_rng(
+        np.random.SeedSequence(entropy=config.seed, spawn_key=(_REF_STREAM,))))
     optimizer = AdamOptimizer(config.learning_rate)
+
+    def loss(rows, pairs, n_points, trips):
+        return row_loss_gradients(state.table.rows[rows], state.head, pairs, n_points, trips,
+                                  state.curvature, state.eps, config.margin_eps,
+                                  reg_space=config.reg_space, triplet_metric=config.triplet_metric)
+
     curve: list[LossReport] = []
     for epoch in range(config.epochs):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=config.seed, spawn_key=(_EPOCH_STREAM, epoch)))
-        triplets = sample_triplets(manifest, config.batch_triplets, rng)
-        for chunks in zip_longest(_chunks(pairs, config.minibatch),
-                                  _chunks(triplets, config.minibatch), fillvalue=()):
-            train_step(state, LossBatch(*chunks), optimizer, config)
-        report = loss_gradients(
-            reference, state, state.curvature, state.eps, config.margin_eps,
-            reg_space=config.reg_space, triplet_metric=config.triplet_metric).report
+        trips = tables.sample(config.batch_triplets, rng)
+        for lo in range(0, max(len(pair_rows), len(trips)), size):
+            p, t = pair_rows[lo:lo + size], trips[lo:lo + size]
+            rows, local = np.unique(np.concatenate([p.ravel(), t.ravel()]), return_inverse=True)
+            grad, touched, gw, gb, report = loss(
+                rows, local[:p.size].reshape(-1, 2), n_points[lo:lo + size],
+                local[p.size:].reshape(-1, 3))
+            _adam_step(state, optimizer, rows[touched], grad[touched],
+                       np.append(gw, gb) if len(p) else None, report.total)
+        report = loss(slice(None), pair_rows, n_points, ref_trips)[-1]
         if not math.isfinite(report.total):
             raise DivergenceError(f"non-finite reference loss after epoch {epoch}")
         curve.append(report)
@@ -276,14 +315,17 @@ def holdout_anchor_ids(manifest: HierarchyManifest, seed: int,
     return [w.id for w in manifest.wholes() if _unit_hash(seed, w.id) < fraction]
 
 
-def evaluation_triplets(manifest: HierarchyManifest, seed: int) -> list[TripletExample]:
-    anchors = set(holdout_anchor_ids(manifest, seed))
-    if not anchors:
-        # Tiny manifests can hash every whole into the training side.
-        anchors = {w.id for w in manifest.wholes()}
+def _evaluation_rows(manifest: HierarchyManifest, tables: _TripletTables, seed: int) -> np.ndarray:
+    held = set(holdout_anchor_ids(manifest, seed))
+    # Tiny manifests can hash every whole into the training side: then all are anchors.
+    positions = [i for i, w in enumerate(manifest.wholes()) if w.id in held or not held]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_EVAL_STREAM,)))
-    return _draw_triplets(manifest, (w for w in manifest.wholes() if w.id in anchors
-                                     for _ in range(EVAL_TRIPLETS_PER_ANCHOR)), rng)
+    return tables.draw(np.repeat(positions, EVAL_TRIPLETS_PER_ANCHOR), rng)
+
+
+def evaluation_triplets(manifest: HierarchyManifest, seed: int) -> list[TripletExample]:
+    tables = _TripletTables(manifest)
+    return tables.examples(_evaluation_rows(manifest, tables, seed))
 
 
 def evaluate_hierarchy(state: EmbeddingState, manifest: HierarchyManifest) -> dict[str, float]:
@@ -295,27 +337,23 @@ def evaluate_hierarchy(state: EmbeddingState, manifest: HierarchyManifest) -> di
     fraction of held-out triplets with the anchor closer (in the origin
     tangent space) to its own part than to the foreign part.
     """
-    table = state.table
-    coords = clip_to_ball(table.rows, state.curvature, state.eps)
-    norms = dict(zip(table.ids, hyperbolic_norms(coords, state.curvature).tolist()))
-    pairs = positive_pairs(manifest)
-    norm_ok = sum(norms[p.part_id] < norms[p.whole_id] for p in pairs)
-    chains_ok = 0
-    parts_of = manifest.parts_by_whole()
-    for whole in manifest.wholes():
-        seq = [norms[p.id] for p in parts_of[whole.id]] + [norms[whole.id]]
-        chains_ok += all(a < b for a, b in zip(seq, seq[1:]))
-    tangents = dict(zip(table.ids, log_maps_origin(coords, state.curvature)))
-    eval_trips = evaluation_triplets(manifest, state.seed)
-    trip_ok = 0
-    for trip in eval_trips:
-        d_pos = float(np.linalg.norm(tangents[trip.whole_id] - tangents[trip.pos_id]))
-        d_neg = float(np.linalg.norm(tangents[trip.whole_id] - tangents[trip.neg_id]))
-        trip_ok += d_pos < d_neg
+    tables = _TripletTables(manifest, state.table.ids)
+    coords = clip_to_ball(state.table.rows, state.curvature, state.eps)
+    norms = hyperbolic_norms(coords, state.curvature)
+    # Row w: the norms of the w-th whole's parts, then its own norm.
+    chain = np.column_stack([norms[tables.own], norms[tables.wholes]])
+    chain[np.arange(len(chain)), tables.n_own] = norms[tables.wholes]
+    in_chain = np.arange(tables.own.shape[1]) < tables.n_own[:, None]
+    chains_ok = np.count_nonzero(((chain[:, :-1] < chain[:, 1:]) | ~in_chain).all(axis=1))
+    norm_ok = np.count_nonzero(norms[tables.pairs[:, 0]] < norms[tables.pairs[:, 1]])
+    tangents = log_maps_origin(coords, state.curvature)
+    anchor, pos, neg = _evaluation_rows(manifest, tables, state.seed).T
+    trip_ok = np.count_nonzero(np.linalg.norm(tangents[anchor] - tangents[pos], axis=-1)
+                               < np.linalg.norm(tangents[anchor] - tangents[neg], axis=-1))
     return {
-        "norm_order_rate": norm_ok / len(pairs),
-        "chain_rate": chains_ok / len(manifest.wholes()),
-        "triplet_accuracy": trip_ok / len(eval_trips) if eval_trips else float("nan"),
+        "norm_order_rate": int(norm_ok) / len(tables.pairs),
+        "chain_rate": int(chains_ok) / len(chain),
+        "triplet_accuracy": int(trip_ok) / len(anchor) if len(anchor) else float("nan"),
     }
 
 

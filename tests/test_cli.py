@@ -222,6 +222,23 @@ def test_embed_single_category_error(capsys, tmp_path):
     assert "categories" in err
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--margin-eps", "-3", "margin_eps"), ("--margin-eps", "0", "margin_eps"),
+    ("--margin-eps", "nan", "margin_eps"), ("--margin-eps", "inf", "margin_eps"),
+    ("--lr", "nan", "learning_rate"), ("--lr", "inf", "learning_rate")])
+def test_embed_rejects_bad_trainer_settings(capsys, tmp_path, flag, value, field):
+    # a nonpositive margin once trained and wrote outputs; lr nan exited 4 at step 1
+    ds = tmp_path / "ds"
+    run(capsys, ["synth", "--out-dir", str(ds), "--categories", "2", "--objects", "2",
+                 "--parts", "2", "--points", "128"])
+    out = tmp_path / "run"
+    code, _, err = run(capsys, ["embed", str(ds / "manifest.json"), "--out-dir", str(out),
+                                "--epochs", "1", flag, value])
+    assert code == EXIT_USAGE
+    assert field in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("defect", ["whole_without_parts", "parts_in_one_category"])
 def test_embed_rejects_untrainable_manifest_promptly(capsys, tmp_path, defect):
     ds = tmp_path / "ds"

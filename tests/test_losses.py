@@ -232,6 +232,16 @@ def test_loss_gradients_scatter_matches_per_example(unit_curv, reg_space, triple
     assert bundle.report.l_t == pytest.approx(want_lt, rel=1e-14)
 
 
+@pytest.mark.parametrize("margin_eps", [0.0, -1.0, float("nan")])
+def test_loss_gradients_rejects_nonpositive_margin(unit_curv, margin_eps):
+    # as the scalar triplet_loss does; a pair-only batch is rejected too
+    state = make_state(np.random.default_rng(6), ["p", "w", "n"], 3, unit_curv)
+    for batch in (LossBatch(triplets=(TripletExample("w", "p", "n"),)),
+                  LossBatch(pairs=(PairExample("p", "w", 3),))):
+        with pytest.raises(ValueError, match="margin_eps"):
+            loss_gradients(batch, state, unit_curv, margin_eps=margin_eps)
+
+
 def test_loss_gradients_empty_batch(unit_curv):
     rng = np.random.default_rng(4)
     state = make_state(rng, ["a"], 3, unit_curv)

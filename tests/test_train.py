@@ -1,4 +1,7 @@
+import collections
 import dataclasses
+import importlib
+import time
 
 import numpy as np
 import pytest
@@ -13,11 +16,13 @@ from hypcloud import (
     export_disk,
     hyperbolic_norm,
     init_state,
+    log_map_origin,
     loss_gradients,
     train,
 )
+from hypcloud.cloud import PointCloud
 from hypcloud.losses import TripletExample
-from hypcloud.synthdata import HierarchyManifest
+from hypcloud.synthdata import HierarchyManifest, SampleRecord
 from hypcloud.train import (
     AdamOptimizer,
     evaluation_triplets,
@@ -39,6 +44,15 @@ def test_config_validation():
         dataclasses.replace(TrainConfig(), learning_rate=-1e-3)
     with pytest.raises(ValueError):
         dataclasses.replace(TrainConfig(), curvature_k=0.2).curvature
+
+
+@pytest.mark.parametrize("field,value", [
+    ("margin_eps", 0.0), ("margin_eps", -3.0), ("margin_eps", float("nan")),
+    ("margin_eps", float("inf")), ("learning_rate", float("nan")),
+    ("learning_rate", float("inf"))])
+def test_config_rejects_bad_margin_and_rate(field, value):
+    with pytest.raises(ValueError, match=field):
+        dataclasses.replace(TrainConfig(), **{field: value})
 
 
 def test_init_state_properties(small_manifest):
@@ -263,6 +277,53 @@ def test_evaluate_hierarchy_ideal_state(small_manifest):
     assert rates["norm_order_rate"] == 1.0
 
 
+def _loop_rates(state, manifest):
+    """evaluate_hierarchy written as per-sample loops, the reference for its
+    array version."""
+    coords = {s.id: clip_to_ball(state.table[s.id], state.curvature, state.eps)
+              for s in manifest.samples}
+    norms = {sid: hyperbolic_norm(BallPoint(c, state.curvature)) for sid, c in coords.items()}
+    pairs = positive_pairs(manifest)
+    parts_of = manifest.parts_by_whole()
+    chains = [[norms[p.id] for p in parts_of[w.id]] + [norms[w.id]] for w in manifest.wholes()]
+    tangent = {sid: log_map_origin(BallPoint(c, state.curvature)).coords
+               for sid, c in coords.items()}
+    trips = evaluation_triplets(manifest, state.seed)
+    trip_ok = sum(np.linalg.norm(tangent[t.whole_id] - tangent[t.pos_id])
+                  < np.linalg.norm(tangent[t.whole_id] - tangent[t.neg_id]) for t in trips)
+    return {"norm_order_rate": sum(norms[p.part_id] < norms[p.whole_id] for p in pairs) / len(pairs),
+            "chain_rate": sum(all(a < b for a, b in zip(c, c[1:])) for c in chains) / len(chains),
+            "triplet_accuracy": trip_ok / len(trips)}
+
+
+@pytest.mark.parametrize("epochs", [0, 3, 30])
+def test_evaluate_hierarchy_equals_loop_reference(small_manifest, epochs):
+    from hypcloud import generate_dataset
+    # the small manifest has whole chains in order, the larger one 80 held-out
+    # triplets, the skewed one wholes with fewer parts than others
+    for manifest in (small_manifest, generate_dataset(3, 10, 3, 64, seed=1), _skewed_manifest()):
+        config = dataclasses.replace(FAST, epochs=max(epochs, 1), dim=2, learning_rate=0.05)
+        state = init_state(manifest, config)
+        if epochs:
+            state, _ = train(state, manifest, config)
+        rates = evaluate_hierarchy(state, manifest)
+        assert rates == _loop_rates(state, manifest)
+    assert all(type(v) is float for v in rates.values())
+
+
+def test_evaluate_hierarchy_chains_of_unequal_length():
+    # wholes with 3, 2 and 1 parts, each chain strictly ordered by radius
+    manifest = _skewed_manifest()
+    state = init_state(manifest, FAST)
+    radius = state.curvature.ball_radius
+    for s in manifest.samples:
+        level = 0.8 if s.role == "whole" else 0.1 * s.n_points
+        state.table[s.id] = np.full(FAST.dim, level * radius / np.sqrt(FAST.dim))
+    rates = evaluate_hierarchy(state, manifest)
+    assert rates["norm_order_rate"] == rates["chain_rate"] == 1.0
+    assert rates == _loop_rates(state, manifest)
+
+
 def test_evaluate_hierarchy_untrained_near_half(small_manifest):
     state = init_state(small_manifest, FAST)
     rates = evaluate_hierarchy(state, small_manifest)
@@ -313,3 +374,103 @@ def test_export_disk_trained_wholes_farther_out(small_manifest):
     radius = {role: [np.hypot(r["x"], r["y"]) for r in rows if r["role"] == role]
               for role in ("part", "whole")}
     assert np.mean(radius["whole"]) > np.mean(radius["part"])
+
+
+def _skewed_manifest() -> HierarchyManifest:
+    """Category "a" holds 600 of the 603 parts; "b" has one object with 2
+    parts and "c" one object with 1 part.  A negative for an "a" anchor is one
+    of 3 parts, so a rejection sampler over all parts needs ~200 tries."""
+    cloud = PointCloud(np.arange(12.0).reshape(4, 3))
+    samples = []
+    for category, objects, n_parts in (("a", 200, 3), ("b", 1, 2), ("c", 1, 1)):
+        for obj in range(objects):
+            whole = f"{category}{obj}"
+            samples += [SampleRecord(f"{whole}-p{k}", category, "part", k + 1, whole,
+                                     PointCloud(cloud.points[:k + 1])) for k in range(n_parts)]
+            samples.append(SampleRecord(whole, category, "whole", 4, None, cloud))
+    return HierarchyManifest(samples=tuple(samples), categories=("a", "b", "c"), seed=0)
+
+
+def _within_5_sigma(count, n, p):
+    return abs(count - n * p) <= 5.0 * np.sqrt(n * p * (1.0 - p))
+
+
+def test_sampler_matches_exact_probabilities():
+    manifest = _skewed_manifest()
+    by_id = {s.id: s for s in manifest.samples}
+    parts_of = manifest.parts_by_whole()
+    parts = [s.id for s in manifest.samples if s.role == "part"]
+    start = time.perf_counter()
+    trips = sample_triplets(manifest, 100_000, np.random.default_rng(7))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 5.0, f"100k triplets took {elapsed:.1f} s"
+    assert len(trips) == 100_000
+    anchors = collections.Counter(t.whole_id for t in trips)
+    pos = collections.Counter((t.whole_id, t.pos_id) for t in trips)
+    neg = collections.Counter((t.whole_id, t.neg_id) for t in trips)
+    wholes = manifest.wholes()
+    assert all(_within_5_sigma(anchors[w.id], len(trips), 1.0 / len(wholes)) for w in wholes)
+    for w in wholes:
+        n = anchors[w.id]
+        own = [p.id for p in parts_of[w.id]]
+        foreign = [p for p in parts if by_id[p].category != w.category]
+        assert all(_within_5_sigma(pos[w.id, p], n, 1.0 / len(own)) for p in own)
+        assert all(_within_5_sigma(neg[w.id, p], n, 1.0 / len(foreign)) for p in foreign)
+        # every draw of this anchor lies in its own support
+        assert sum(pos[w.id, p] for p in own) == n
+        assert sum(neg[w.id, p] for p in foreign) == n
+    assert all(by_id[t.pos_id].parent_id == t.whole_id for t in trips)
+    assert all(by_id[t.neg_id].category != by_id[t.whole_id].category for t in trips)
+    # the evaluation draw shares the sampler: foreign negatives, promptly
+    evals = evaluation_triplets(manifest, seed=3)
+    assert evals and all(by_id[t.neg_id].category != by_id[t.whole_id].category for t in evals)
+
+
+@pytest.mark.parametrize("reg_space", ["hyperbolic", "euclidean"])
+@pytest.mark.parametrize("triplet_metric", ["tangent", "geodesic"])
+def test_train_replays_public_path(small_manifest, monkeypatch, reg_space, triplet_metric):
+    """train's epochs equal, bit for bit, sample_triplets on each epoch's
+    stream, train_step over the LossBatch minibatches and loss_gradients on
+    the reference batch: rows, head, Adam moments and the loss curve."""
+    module = importlib.import_module("hypcloud.train")  # hypcloud.train is the function
+    config = dataclasses.replace(FAST, epochs=2, learning_rate=0.5, reg_space=reg_space,
+                                 triplet_metric=triplet_metric)
+    optimizers = []
+
+    class RecordingAdam(AdamOptimizer):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            optimizers.append(self)
+
+    monkeypatch.setattr(module, "AdamOptimizer", RecordingAdam)
+    state_a, curve_a = train(init_state(small_manifest, config), small_manifest, config)
+    (opt_a,) = optimizers
+
+    def stream(*key):
+        return np.random.default_rng(np.random.SeedSequence(entropy=config.seed, spawn_key=key))
+
+    state_b, opt_b = init_state(small_manifest, config), AdamOptimizer(config.learning_rate)
+    pairs = positive_pairs(small_manifest)
+    reference = LossBatch(pairs, sample_triplets(small_manifest, config.batch_triplets,
+                                                 stream(module._REF_STREAM)))
+    curve_b, size = [], config.minibatch
+    for epoch in range(config.epochs):
+        trips = sample_triplets(small_manifest, config.batch_triplets,
+                                stream(module._EPOCH_STREAM, epoch))
+        for lo in range(0, max(len(pairs), len(trips)), size):
+            train_step(state_b, LossBatch(pairs[lo:lo + size], trips[lo:lo + size]), opt_b, config)
+        curve_b.append(loss_gradients(reference, state_b, state_b.curvature, state_b.eps,
+                                      config.margin_eps, reg_space=reg_space,
+                                      triplet_metric=triplet_metric).report)
+
+    assert np.array_equal(state_a.table.rows, state_b.table.rows)
+    assert np.array_equal(state_a.head.weights, state_b.head.weights)
+    assert state_a.head.bias == state_b.head.bias
+    assert opt_a.t == opt_b.t == config.epochs * 3
+    assert opt_a.slots.keys() == opt_b.slots.keys() == {"table", "head"}
+    for key in opt_a.slots:
+        assert all(np.array_equal(a, b) for a, b in zip(opt_a.slots[key], opt_b.slots[key]))
+    assert curve_a == curve_b
+    # the run moved rows to the clip margin, so the clip's Jacobian was exercised
+    rho = (1 - config.ball_eps) * state_a.curvature.ball_radius
+    assert np.isclose(np.linalg.norm(state_a.table.rows, axis=1), rho, rtol=1e-12).any()
