@@ -376,6 +376,23 @@ def test_export_disk_trained_wholes_farther_out(small_manifest):
     assert np.mean(radius["whole"]) > np.mean(radius["part"])
 
 
+def test_train_independent_of_table_row_order(small_manifest):
+    """train maps sample ids to table rows: a table holding the same rows in
+    reverse order trains every sample to the same bits."""
+    from hypcloud.train import EmbeddingTable
+    config = dataclasses.replace(FAST, learning_rate=0.5)
+    state_a = init_state(small_manifest, config)
+    state_b = init_state(small_manifest, config)
+    ids = state_b.table.ids[::-1]
+    state_b.table = EmbeddingTable(ids, state_b.table.rows[::-1].copy())
+    state_a, curve_a = train(state_a, small_manifest, config)
+    state_b, curve_b = train(state_b, small_manifest, config)
+    assert all(np.array_equal(state_a.table[k], state_b.table[k]) for k in ids)
+    assert np.array_equal(state_a.head.weights, state_b.head.weights)
+    assert state_a.head.bias == state_b.head.bias and curve_a == curve_b
+    assert evaluate_hierarchy(state_a, small_manifest) == evaluate_hierarchy(state_b, small_manifest)
+
+
 def _skewed_manifest() -> HierarchyManifest:
     """Category "a" holds 600 of the 603 parts; "b" has one object with 2
     parts and "c" one object with 1 part.  A negative for an "a" anchor is one
