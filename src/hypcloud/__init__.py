@@ -24,13 +24,10 @@ from .losses import (
     MarginHead,
     PairExample,
     TripletExample,
-    adaptive_margin,
     grad_check,
     gradient_check_cases,
     loss_gradients,
-    reg_loss,
     total_loss,
-    triplet_loss,
 )
 from .metrics import MetricsReport, evaluate
 from .poincare import (

@@ -1,6 +1,9 @@
 """Training objectives: hinge regularizer with adaptive margin, triplet loss,
 their composition, exact analytic gradients, and a finite-difference harness.
 
+`row_loss_gradients` is the one place where L_Z, L_T and the margin are
+written; `loss_gradients` is its id-keyed view.
+
 Gradients are written out by hand (chain rule through the ball projection,
 the origin log map, and the hyperbolic norm) and verified against central
 finite differences; see `gradient_check_cases`.
@@ -13,10 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# hyperbolic_norm and log_map_origin are unused here but perfbench/tracing.py patches them.
 from .poincare import (
     BALL_EPS,
     BallPoint,
     Curvature,
+    _row_norms,
     clip_to_ball,
     clip_vjp,
     geodesic_distance,
@@ -68,68 +73,18 @@ class MarginHead:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Loss components; total = l_n + l_z + l_t exactly."""
+    """Loss components; total = l_z + l_t exactly."""
 
     l_z: float
     l_t: float
-    l_n: float
     total: float
 
 
-def total_loss(l_z: float, l_t: float, l_n_external: float = 0.0) -> LossReport:
+def total_loss(l_z: float, l_t: float) -> LossReport:
     """Compose the loss components into a report."""
     if l_z < 0 or l_t < 0:
         raise ValueError("hinge losses cannot be negative")
-    return LossReport(l_z=l_z, l_t=l_t, l_n=l_n_external, total=l_n_external + l_z + l_t)
-
-
-def adaptive_margin(p_feat: np.ndarray, w_feat: np.ndarray, head: MarginHead) -> float:
-    """gamma0 * sigmoid(w . concat(p, w) + b); strictly inside (0, gamma0)."""
-    feats = np.concatenate([np.asarray(p_feat, dtype=np.float64).ravel(),
-                            np.asarray(w_feat, dtype=np.float64).ravel()])
-    if feats.shape[0] != head.weights.shape[0]:
-        raise ValueError(
-            f"feature dimension {feats.shape[0]} does not match head width {head.weights.shape[0]}")
-    return float(head.gamma0 * sigmoid(float(head.weights @ feats) + head.bias))
-
-
-def reg_loss(part_emb: BallPoint, whole_emb: BallPoint, gamma: float, n_points: int) -> float:
-    """Hinge pushing the whole's hyperbolic norm above the part's by gamma/N."""
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    if n_points < 1:
-        raise ValueError(f"n_points must be >= 1, got {n_points}")
-    if part_emb.curvature != whole_emb.curvature:
-        raise ValueError("part and whole embeddings must share a curvature")
-    return max(0.0, -hyperbolic_norm(whole_emb) + hyperbolic_norm(part_emb) + gamma / n_points)
-
-
-def triplet_loss(
-    w_pos: BallPoint,
-    p_pos: BallPoint,
-    p_neg: BallPoint,
-    margin_eps: float,
-    metric: str = "tangent",
-) -> float:
-    """Hinge separating the anchor's own part from a foreign part by margin_eps.
-
-    The distance is Euclidean between origin-tangent images by default; the
-    ball geodesic alternative is available via `metric="geodesic"`.
-    """
-    if margin_eps <= 0:
-        raise ValueError(f"margin_eps must be positive, got {margin_eps}")
-    if not (w_pos.curvature == p_pos.curvature == p_neg.curvature):
-        raise ValueError("triplet embeddings must share a curvature")
-    if metric == "tangent":
-        tw = log_map_origin(w_pos).coords
-        d_pos = float(np.linalg.norm(tw - log_map_origin(p_pos).coords))
-        d_neg = float(np.linalg.norm(tw - log_map_origin(p_neg).coords))
-    elif metric == "geodesic":
-        d_pos = geodesic_distance(w_pos, p_pos)
-        d_neg = geodesic_distance(w_pos, p_neg)
-    else:
-        raise ValueError(f"metric must be one of {TRIPLET_METRICS}, got {metric!r}")
-    return max(0.0, d_pos - d_neg + margin_eps)
+    return LossReport(l_z=l_z, l_t=l_t, total=l_z + l_t)
 
 
 # --- batched loss + gradients ----------------------------------------------
@@ -142,6 +97,10 @@ class PairExample:
     part_id: str
     whole_id: str
     n_points: int
+
+    def __post_init__(self):
+        if not self.n_points >= 1:
+            raise ValueError(f"n_points must be >= 1, got {self.n_points}")
 
 
 @dataclass(frozen=True)
@@ -251,7 +210,7 @@ def row_loss_gradients(
         if reg_space == "hyperbolic":
             h, dh = hyperbolic_norms(emb, curv), hyperbolic_norm_grad(emb, curv)
         else:
-            h = np.linalg.norm(emb, axis=-1)
+            h = _row_norms(emb)
             dh = emb / np.where(h > 0.0, h, 1.0)[:, None]
         feats = np.concatenate([theta[p], theta[w]], axis=1)
         sig = sigmoid(feats @ head.weights + head.bias)
@@ -275,8 +234,7 @@ def row_loss_gradients(
         if triplet_metric == "tangent":
             tan = log_maps_origin(emb, curv)
             diff_pos, diff_neg = tan[a] - tan[pos], tan[a] - tan[neg]
-            d_pos = np.linalg.norm(diff_pos, axis=-1)
-            d_neg = np.linalg.norm(diff_neg, axis=-1)
+            d_pos, d_neg = _row_norms(diff_pos), _row_norms(diff_neg)
             u_pos = diff_pos / np.where(d_pos > 0.0, d_pos, 1.0)[:, None]
             u_neg = diff_neg / np.where(d_neg > 0.0, d_neg, 1.0)[:, None]
             g = log_map_origin_vjp(np.concatenate([u_pos - u_neg, -u_pos, u_neg]), emb[idx], curv)

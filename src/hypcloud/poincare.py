@@ -94,7 +94,7 @@ def clip_to_ball(x: np.ndarray, curv: Curvature, eps: float = BALL_EPS) -> np.nd
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot project non-finite coordinates")
     rho = (1.0 - eps) * curv.ball_radius
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    r = _row_norms(x, keepdims=True)
     if not np.any(r >= rho):
         return x.copy()
     out = x.copy()
@@ -103,7 +103,7 @@ def clip_to_ball(x: np.ndarray, curv: Curvature, eps: float = BALL_EPS) -> np.nd
     # rescaled again so the result never exceeds rho.
     over = r >= rho
     while True:
-        r = np.linalg.norm(out, axis=-1, keepdims=True)
+        r = _row_norms(out, keepdims=True)
         bad = over & (r > rho)
         if not np.any(bad):
             break
@@ -179,7 +179,7 @@ def hyperbolic_norms(xs: np.ndarray, curv: Curvature) -> np.ndarray:
     """Row-wise hyperbolic norms of ball coordinates, shape (n,)."""
     xs = np.asarray(xs, dtype=np.float64)
     sc = math.sqrt(curv.c)
-    args = sc * np.linalg.norm(xs, axis=-1)
+    args = sc * _row_norms(xs)
     if np.count_nonzero(args >= 1.0):
         raise NumericalDomainError("a row lies on or outside the ball boundary")
     return (2.0 / sc) * np.arctanh(args)
@@ -188,7 +188,7 @@ def hyperbolic_norms(xs: np.ndarray, curv: Curvature) -> np.ndarray:
 def log_maps_origin(xs: np.ndarray, curv: Curvature) -> np.ndarray:
     """Row-wise origin log map of ball coordinates; the origin maps to itself."""
     xs = np.asarray(xs, dtype=np.float64)
-    args = math.sqrt(curv.c) * np.linalg.norm(xs, axis=-1, keepdims=True)
+    args = math.sqrt(curv.c) * _row_norms(xs, keepdims=True)
     return xs * np.where(args > 0.0, np.arctanh(args) / np.where(args > 0.0, args, 1.0), 1.0)
 
 
@@ -242,11 +242,16 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=-1, keepdims=True)
 
 
+def _row_norms(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Euclidean norms over the last axis, bit for bit numpy.linalg.norm's."""
+    return np.sqrt((x * x).sum(axis=-1, keepdims=keepdims))
+
+
 def hyperbolic_norm_grad(x: np.ndarray, curv: Curvature) -> np.ndarray:
     """Gradient of hyperbolic_norm at ball coordinates x (zero at the origin)."""
     x = np.asarray(x, dtype=np.float64)
     c = curv.c
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    r = _row_norms(x, keepdims=True)
     return (2.0 / ((1.0 - c * r * r) * np.where(r > 0.0, r, 1.0))) * x
 
 
@@ -260,7 +265,7 @@ def log_map_origin_vjp(upstream: np.ndarray, x: np.ndarray, curv: Curvature) -> 
     upstream = np.asarray(upstream, dtype=np.float64)
     c = curv.c
     sc = math.sqrt(c)
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    r = _row_norms(x, keepdims=True)
     safe = np.where(r > 0.0, r, 1.0)
     at = np.arctanh(sc * r)
     g = np.where(r > 0.0, at / (sc * safe), 1.0)
@@ -277,7 +282,7 @@ def clip_vjp(upstream: np.ndarray, x: np.ndarray, curv: Curvature, eps: float = 
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
     rho = (1.0 - eps) * curv.ball_radius
-    r = np.linalg.norm(x, axis=-1, keepdims=True)
+    r = _row_norms(x, keepdims=True)
     outside = r >= rho
     r = np.where(outside, r, 1.0)
     xhat = x / r

@@ -26,8 +26,8 @@ from .losses import (
     row_loss_gradients,
 )
 # hyperbolic_norm and log_map_origin are unused here but perfbench/tracing.py patches them.
-from .poincare import (BALL_EPS, Curvature, clip_to_ball, hyperbolic_norm, hyperbolic_norms,
-                       log_map_origin, log_maps_origin)
+from .poincare import (BALL_EPS, Curvature, _row_norms, clip_to_ball, hyperbolic_norm,
+                       hyperbolic_norms, log_map_origin, log_maps_origin)
 from .synthdata import HierarchyManifest
 
 # Deterministic substream labels.
@@ -37,6 +37,8 @@ _EVAL_STREAM = 4
 
 HOLDOUT_FRACTION = 0.2
 EVAL_TRIPLETS_PER_ANCHOR = 10
+INIT_STD = 0.01
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class DivergenceError(RuntimeError):
@@ -55,7 +57,6 @@ class TrainConfig:
     curvature_k: float = -0.14
     ball_eps: float = BALL_EPS
     minibatch: int = 32
-    init_std: float = 0.01
     reg_space: str = "hyperbolic"
     triplet_metric: str = "tangent"
 
@@ -118,7 +119,7 @@ def init_state(manifest: HierarchyManifest, config: TrainConfig) -> EmbeddingSta
     """Seeded Gaussian embeddings (std well inside the ball), zero head."""
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     n = len(manifest.samples)
-    block = rng.normal(0.0, config.init_std, size=(n, config.dim))
+    block = rng.normal(0.0, INIT_STD, size=(n, config.dim))
     return EmbeddingState(
         table=EmbeddingTable([s.id for s in manifest.samples], block),
         head=MarginHead.zeros(2 * config.dim, config.gamma0),
@@ -203,9 +204,6 @@ class AdamOptimizer:
     the bias-correction time index `t` is global (it counts steps)."""
 
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     slots: dict = field(default_factory=dict)
 
@@ -214,11 +212,11 @@ class AdamOptimizer:
         if key not in self.slots:
             self.slots[key] = (np.zeros_like(value), np.zeros_like(value))
         m, v = self.slots[key]
-        m[rows] = self.beta1 * m[rows] + (1.0 - self.beta1) * grad
-        v[rows] = self.beta2 * v[rows] + (1.0 - self.beta2) * grad * grad
-        m_hat = m[rows] / (1.0 - self.beta1 ** self.t)
-        v_hat = v[rows] / (1.0 - self.beta2 ** self.t)
-        return value[rows] - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        m[rows] = ADAM_BETA1 * m[rows] + (1.0 - ADAM_BETA1) * grad
+        v[rows] = ADAM_BETA2 * v[rows] + (1.0 - ADAM_BETA2) * grad * grad
+        m_hat = m[rows] / (1.0 - ADAM_BETA1 ** self.t)
+        v_hat = v[rows] / (1.0 - ADAM_BETA2 ** self.t)
+        return value[rows] - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _adam_step(state: EmbeddingState, optimizer: AdamOptimizer, rows: np.ndarray,
@@ -308,11 +306,10 @@ def _unit_hash(seed: int, sample_id: str) -> float:
     return int.from_bytes(digest[:8], "big") / 2.0 ** 64
 
 
-def holdout_anchor_ids(manifest: HierarchyManifest, seed: int,
-                       fraction: float = HOLDOUT_FRACTION) -> list[str]:
-    """Wholes whose seeded id hash falls below `fraction`; the evaluation
-    triplets are anchored here."""
-    return [w.id for w in manifest.wholes() if _unit_hash(seed, w.id) < fraction]
+def holdout_anchor_ids(manifest: HierarchyManifest, seed: int) -> list[str]:
+    """Wholes whose seeded id hash falls below HOLDOUT_FRACTION; the
+    evaluation triplets are anchored here."""
+    return [w.id for w in manifest.wholes() if _unit_hash(seed, w.id) < HOLDOUT_FRACTION]
 
 
 def _evaluation_rows(manifest: HierarchyManifest, tables: _TripletTables, seed: int) -> np.ndarray:
@@ -348,8 +345,8 @@ def evaluate_hierarchy(state: EmbeddingState, manifest: HierarchyManifest) -> di
     norm_ok = np.count_nonzero(norms[tables.pairs[:, 0]] < norms[tables.pairs[:, 1]])
     tangents = log_maps_origin(coords, state.curvature)
     anchor, pos, neg = _evaluation_rows(manifest, tables, state.seed).T
-    trip_ok = np.count_nonzero(np.linalg.norm(tangents[anchor] - tangents[pos], axis=-1)
-                               < np.linalg.norm(tangents[anchor] - tangents[neg], axis=-1))
+    trip_ok = np.count_nonzero(_row_norms(tangents[anchor] - tangents[pos])
+                               < _row_norms(tangents[anchor] - tangents[neg]))
     return {
         "norm_order_rate": int(norm_ok) / len(tables.pairs),
         "chain_rate": int(chains_ok) / len(chain),

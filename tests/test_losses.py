@@ -12,15 +12,16 @@ from hypcloud import (
     MarginHead,
     PairExample,
     TripletExample,
-    adaptive_margin,
+    geodesic_distance,
     grad_check,
     gradient_check_cases,
+    hyperbolic_norm,
     log_map_origin,
     loss_gradients,
-    reg_loss,
+    project_to_ball,
     total_loss,
-    triplet_loss,
 )
+from hypcloud.losses import row_loss_gradients, sigmoid
 
 from conftest import random_ball_points
 
@@ -29,25 +30,73 @@ def ball(coords, curv):
     return BallPoint(np.asarray(coords, dtype=float), curv)
 
 
+# --- scalar oracles ----------------------------------------------------------
+#
+# L_Z, L_T and the margin written once more, per example on the scalar
+# BallPoint API, as the independent reference of `row_loss_gradients`.
+
+def adaptive_margin(p_feat, w_feat, head):
+    """gamma0 * sigmoid(w . concat(p, w) + b) on the raw (unclipped) rows."""
+    return float(head.gamma0 * sigmoid(float(head.weights @ np.concatenate([p_feat, w_feat]))
+                                       + head.bias))
+
+
+def reg_loss(part, whole, gamma, n_points, reg_space="hyperbolic"):
+    """Hinge pushing the whole's norm above the part's by gamma/N."""
+    if reg_space == "hyperbolic":
+        h_part, h_whole = hyperbolic_norm(part), hyperbolic_norm(whole)
+    else:
+        h_part, h_whole = float(np.linalg.norm(part.coords)), float(np.linalg.norm(whole.coords))
+    return max(0.0, -h_whole + h_part + gamma / n_points)
+
+
+def triplet_loss(w_pos, p_pos, p_neg, margin_eps, metric="tangent"):
+    """Hinge separating the anchor's own part from a foreign part by margin_eps."""
+    if metric == "tangent":
+        tw = log_map_origin(w_pos).coords
+        d_pos = float(np.linalg.norm(tw - log_map_origin(p_pos).coords))
+        d_neg = float(np.linalg.norm(tw - log_map_origin(p_neg).coords))
+    else:
+        d_pos, d_neg = geodesic_distance(w_pos, p_pos), geodesic_distance(w_pos, p_neg)
+    return max(0.0, d_pos - d_neg + margin_eps)
+
+
+def one_loss(state, curv, pair=None, triplet=None, **kw):
+    """The kernel's report on a batch of one pair or one triplet."""
+    batch = LossBatch(pairs=[pair] if pair else [], triplets=[triplet] if triplet else [])
+    return loss_gradients(batch, state, curv, **kw).report
+
+
+def line_state(gamma0=1.0, **radii):
+    """Samples on the first axis at the given radii, and a zero margin head:
+    the margin is exactly gamma0 / 2."""
+    return SimpleNamespace(table={sid: np.array([r, 0.0]) for sid, r in radii.items()},
+                           head=MarginHead.zeros(4, gamma0))
+
+
+def with_hnorm(h):
+    """The radius whose hyperbolic norm is h, for c = 1."""
+    return math.tanh(h / 2)
+
+
 # --- adaptive margin ---------------------------------------------------------
 
-def test_margin_zero_head_is_half_gamma0():
-    head = MarginHead.zeros(4, 1000.0)
-    assert adaptive_margin(np.array([1.0, 2.0]), np.array([3.0, 4.0]), head) == 500.0
+def test_margin_zero_head_is_half_gamma0(unit_curv):
+    # part and whole at one point: the norms cancel and L_Z is the margin
+    state = line_state(gamma0=1000.0, p=0.3, w=0.3)
+    assert one_loss(state, unit_curv, PairExample("p", "w", 1)).l_z == 500.0
 
 
 def test_margin_saturates_monotonically():
-    head = MarginHead(np.array([1.0, 0.0]), 0.0, 10.0)
-    lo = adaptive_margin(np.array([0.0]), np.array([0.0]), head)
-    hi = adaptive_margin(np.array([5.0]), np.array([0.0]), head)
-    huge = adaptive_margin(np.array([1e6]), np.array([0.0]), head)
+    lo, hi, huge = 10.0 * sigmoid([0.0, 5.0, 1e6])
     assert lo < hi < huge < 10.0
 
 
-def test_margin_dimension_mismatch():
-    head = MarginHead.zeros(4, 1.0)
-    with pytest.raises(ValueError):
-        adaptive_margin(np.array([1.0]), np.array([2.0]), head)
+def test_margin_dimension_mismatch(unit_curv):
+    state = line_state(p=0.1, w=0.2)
+    state.head = MarginHead.zeros(2, 1.0)
+    with pytest.raises(ValueError, match="head width"):
+        one_loss(state, unit_curv, PairExample("p", "w", 1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -55,80 +104,81 @@ def test_margin_dimension_mismatch():
        st.lists(st.floats(-3, 3), min_size=4, max_size=4),
        st.floats(-3, 3))
 def test_margin_strictly_inside_range(feats, weights, bias):
-    head = MarginHead(np.array(weights), bias, 1000.0)
-    margin = adaptive_margin(np.array(feats[:2]), np.array(feats[2:]), head)
+    margin = 1000.0 * sigmoid(np.dot(weights, feats) + bias)
     assert 0.0 < margin < 1000.0
 
 
 def test_margin_lipschitz_bound():
     rng = np.random.default_rng(0)
-    head = MarginHead(rng.normal(size=6), 0.1, 100.0)
-    feats = rng.normal(size=6)
-    delta = 1e-3 * rng.normal(size=6)
-    a = adaptive_margin(feats[:3], feats[3:], head)
-    b = adaptive_margin(feats[:3] + delta[:3], feats[3:] + delta[3:], head)
-    bound = 100.0 * 0.25 * np.linalg.norm(head.weights) * np.linalg.norm(delta)
+    weights, feats, delta = rng.normal(size=6), rng.normal(size=6), 1e-3 * rng.normal(size=6)
+    a = 100.0 * sigmoid(weights @ feats + 0.1)
+    b = 100.0 * sigmoid(weights @ (feats + delta) + 0.1)
+    bound = 100.0 * 0.25 * np.linalg.norm(weights) * np.linalg.norm(delta)
     assert abs(a - b) <= bound + 1e-12
 
 
 # --- hinge losses ------------------------------------------------------------
 
 def test_reg_loss_examples(unit_curv):
-    # inactive hinge: whole far enough outside the part
-    whole = ball([math.tanh(1.0), 0.0], unit_curv)   # hnorm = 2.0
-    part = ball([math.tanh(0.25), 0.0], unit_curv)   # hnorm = 0.5... pick norms directly
-    # construct by norm: x with hnorm h has |x| = tanh(h/2) for c=1
-    def with_norm(h):
-        return ball([math.tanh(h / 2), 0.0], unit_curv)
-    assert reg_loss(with_norm(1.0), with_norm(2.0), gamma=0.5, n_points=1) == 0.0
-    assert reg_loss(with_norm(1.2), with_norm(1.0), gamma=0.3, n_points=1) == pytest.approx(0.5, abs=1e-12)
-    p = with_norm(0.7)
-    assert reg_loss(p, p, gamma=0.3, n_points=7) == pytest.approx(0.3 / 7, abs=1e-15)
+    # inactive hinge: the whole far enough outside the part
+    state = line_state(gamma0=1.0, p=with_hnorm(1.0), w=with_hnorm(2.0))
+    assert one_loss(state, unit_curv, PairExample("p", "w", 1)).l_z == 0.0
+    state = line_state(gamma0=0.6, p=with_hnorm(1.2), w=with_hnorm(1.0))
+    assert one_loss(state, unit_curv, PairExample("p", "w", 1)).l_z == pytest.approx(0.5, abs=1e-12)
+    state = line_state(gamma0=0.6, p=with_hnorm(0.7), w=with_hnorm(0.7))
+    assert one_loss(state, unit_curv, PairExample("p", "w", 7)).l_z == pytest.approx(0.3 / 7,
+                                                                                    abs=1e-15)
 
 
-def test_reg_loss_validation(unit_curv, curv014):
-    p = ball([0.1, 0.0], unit_curv)
-    with pytest.raises(ValueError):
-        reg_loss(p, p, gamma=0.0, n_points=1)
-    with pytest.raises(ValueError):
-        reg_loss(p, p, gamma=1.0, n_points=0)
-    with pytest.raises(ValueError):
-        reg_loss(p, ball([0.1, 0.0], curv014), gamma=1.0, n_points=1)
+def test_reg_loss_validation():
+    with pytest.raises(ValueError, match="gamma0"):
+        MarginHead.zeros(4, 0.0)
+    with pytest.raises(ValueError, match="gamma0"):
+        MarginHead.zeros(4, -1.0)
+
+
+@pytest.mark.parametrize("n_points", [0, -3, 0.5, float("nan")])
+def test_pair_rejects_part_size_below_one(unit_curv, n_points):
+    # N = 0 made L_Z inf with nan gradients; N < 0 a negative margin that
+    # switched the hinge off
+    state = line_state(p=0.1, w=0.2)
+    with pytest.raises(ValueError, match="n_points"):
+        one_loss(state, unit_curv, PairExample("p", "w", n_points))
 
 
 def test_triplet_loss_examples(unit_curv):
     # distances are tangent-space euclidean; place points on a line
-    def at(r):
-        return ball([r, 0.0], unit_curv)
-    w, p_pos, p_neg = at(0.0), at(0.2), at(0.6)
-    t = lambda b: log_map_origin(b).coords
-    d_pos = np.linalg.norm(t(w) - t(p_pos))
-    d_neg = np.linalg.norm(t(w) - t(p_neg))
-    got = triplet_loss(w, p_pos, p_neg, margin_eps=4.0)
-    assert got == pytest.approx(max(0.0, d_pos - d_neg + 4.0), abs=1e-12)
+    state = line_state(w=0.0, p=0.2, n=0.6)
+    want = triplet_loss(*(ball(state.table[sid], unit_curv) for sid in "wpn"), 4.0)
+    got = one_loss(state, unit_curv, triplet=TripletExample("w", "p", "n"), margin_eps=4.0).l_t
+    assert got == pytest.approx(want, abs=1e-12)
     # identical positive and negative: the distances cancel
-    assert triplet_loss(w, p_pos, p_pos, margin_eps=4.0) == 4.0
+    assert one_loss(state, unit_curv, triplet=TripletExample("w", "p", "p"),
+                    margin_eps=4.0).l_t == 4.0
     # hinge inactive when the negative is far beyond the margin
-    assert triplet_loss(at(0.01), at(0.02), at(0.999), margin_eps=0.5) == 0.0
+    state = line_state(w=0.01, p=0.02, n=0.999)
+    assert one_loss(state, unit_curv, triplet=TripletExample("w", "p", "n"),
+                    margin_eps=0.5).l_t == 0.0
 
 
 def test_triplet_loss_geodesic_switch(unit_curv):
-    w, p, n = ball([0.0, 0.0], unit_curv), ball([0.3, 0.0], unit_curv), ball([0.0, 0.5], unit_curv)
-    tangent = triplet_loss(w, p, n, 1.0, metric="tangent")
-    geo = triplet_loss(w, p, n, 1.0, metric="geodesic")
-    assert tangent >= 0 and geo >= 0
-    with pytest.raises(ValueError):
-        triplet_loss(w, p, n, 1.0, metric="euclid")
-    with pytest.raises(ValueError):
-        triplet_loss(w, p, n, 0.0)
+    state = SimpleNamespace(table={"w": np.array([0.0, 0.0]), "p": np.array([0.3, 0.0]),
+                                   "n": np.array([0.0, 0.5])}, head=MarginHead.zeros(4, 1.0))
+    trip = TripletExample("w", "p", "n")
+    tangent = one_loss(state, unit_curv, triplet=trip, margin_eps=1.0, triplet_metric="tangent")
+    geo = one_loss(state, unit_curv, triplet=trip, margin_eps=1.0, triplet_metric="geodesic")
+    assert tangent.l_t > 0 and geo.l_t > 0 and tangent.l_t != geo.l_t
+    with pytest.raises(ValueError, match="triplet_metric"):
+        one_loss(state, unit_curv, triplet=trip, margin_eps=1.0, triplet_metric="euclid")
+    with pytest.raises(ValueError, match="margin_eps"):
+        one_loss(state, unit_curv, triplet=trip, margin_eps=0.0)
 
 
 def test_total_loss_examples():
-    assert total_loss(0.0, 0.0, 0.0).total == 0.0
-    assert total_loss(0.5, 2.0, 0.0).total == 2.5
-    report = total_loss(0.5, 2.0, 1.25)
-    assert report.total == 3.75
-    assert report.total == report.l_n + report.l_z + report.l_t
+    assert total_loss(0.0, 0.0).total == 0.0
+    assert total_loss(0.5, 2.0).total == 2.5
+    report = total_loss(0.5, 1.25)
+    assert report.total == report.l_z + report.l_t == 1.75
     with pytest.raises(ValueError):
         total_loss(-0.1, 0.0)
 
@@ -171,20 +221,58 @@ def test_loss_gradients_sign_structure(unit_curv):
     assert bundle.embeddings["w"][0] < 0
 
 
-def test_loss_gradients_match_scalar_ops(unit_curv):
+@pytest.mark.parametrize("reg_space", ["hyperbolic", "euclidean"])
+@pytest.mark.parametrize("triplet_metric", ["tangent", "geodesic"])
+def test_loss_gradients_match_scalar_ops(unit_curv, reg_space, triplet_metric):
+    # the kernel's batch means equal the scalar oracles, example by example
     rng = np.random.default_rng(3)
-    state = make_state(rng, ["p", "w", "n"], 4, unit_curv, gamma0=30.0)
-    pair = PairExample("p", "w", 5)
-    trip = TripletExample("w", "p", "n")
-    bundle = loss_gradients(LossBatch(pairs=(pair,), triplets=(trip,)), state, unit_curv,
-                            margin_eps=2.0)
-    gamma = adaptive_margin(state.table["p"], state.table["w"], state.head)
-    want_lz = reg_loss(ball(state.table["p"], unit_curv), ball(state.table["w"], unit_curv),
-                       gamma, 5)
-    want_lt = triplet_loss(ball(state.table["w"], unit_curv), ball(state.table["p"], unit_curv),
-                           ball(state.table["n"], unit_curv), 2.0)
-    assert bundle.report.l_z == pytest.approx(want_lz, rel=1e-14)
-    assert bundle.report.l_t == pytest.approx(want_lt, rel=1e-14)
+    state = make_state(rng, list("abcde"), 4, unit_curv, gamma0=3.0)
+    state.table["e"] = np.array([0.0, 2.5, 0.0, 0.0])   # beyond the clip margin
+    pairs = [PairExample(p, w, n) for p, w, n in
+             [("a", "b", 5), ("c", "d", 1), ("e", "a", 2), ("b", "e", 1), ("d", "c", 3)]]
+    trips = [TripletExample(w, p, n) for w, p, n in
+             [("a", "b", "c"), ("e", "d", "a"), ("b", "e", "c"), ("d", "a", "e")]]
+    kw = dict(margin_eps=2.0, reg_space=reg_space, triplet_metric=triplet_metric)
+    report = loss_gradients(LossBatch(pairs, trips), state, unit_curv, **kw).report
+
+    theta = state.table
+    emb = {sid: project_to_ball(x, unit_curv) for sid, x in theta.items()}
+    want_lz = [reg_loss(emb[e.part_id], emb[e.whole_id],
+                        adaptive_margin(theta[e.part_id], theta[e.whole_id], state.head),
+                        e.n_points, reg_space) for e in pairs]
+    want_lt = [triplet_loss(emb[e.whole_id], emb[e.pos_id], emb[e.neg_id], 2.0, triplet_metric)
+               for e in trips]
+    assert 0.0 in want_lz and 0.0 in want_lt and report.l_z > 0 and report.l_t > 0
+    assert report.l_z == pytest.approx(math.fsum(want_lz) / len(pairs), rel=1e-14)
+    assert report.l_t == pytest.approx(math.fsum(want_lt) / len(trips), rel=1e-14)
+
+
+@pytest.mark.parametrize("reg_space", ["hyperbolic", "euclidean"])
+@pytest.mark.parametrize("triplet_metric", ["tangent", "geodesic"])
+def test_row_loss_gradients_match_finite_differences(unit_curv, reg_space, triplet_metric):
+    # every branch with all hinges active.  Row 4 lies beyond the clip margin
+    # and sits only in pairs: a geodesic distance to a row on the margin
+    # carries ~1e-7 relative rounding, which central differences cannot resolve.
+    rng = np.random.default_rng(7)
+    dim = 3
+    theta = random_ball_points(rng, 5, dim, unit_curv, max_frac=0.6)
+    theta[4] = [0.0, 0.0, 2.0]
+    pairs = np.array([[0, 1], [2, 3], [4, 0], [1, 4]])
+    n_points = np.array([3.0, 1.0, 2.0, 5.0])
+    trips = np.array([[0, 1, 2], [3, 2, 0], [2, 0, 1], [1, 3, 2]])
+    gamma0, margin_eps = 50.0, 6.0
+    kw = dict(reg_space=reg_space, triplet_metric=triplet_metric)
+
+    def loss(v, full=False):
+        head = MarginHead(v[5 * dim:7 * dim], float(v[7 * dim]), gamma0)
+        out = row_loss_gradients(v[:5 * dim].reshape(5, dim), head, pairs, n_points, trips,
+                                 unit_curv, margin_eps=margin_eps, **kw)
+        return out if full else out[-1].total
+
+    point = np.concatenate([theta.ravel(), rng.normal(scale=0.2, size=2 * dim + 1)])
+    grad, touched, gw, gb, report = loss(point, full=True)
+    assert touched.all() and report.l_z > 0 and report.l_t > 0
+    assert grad_check(loss, np.concatenate([grad.ravel(), gw, [gb]]), point) < 1e-7
 
 
 @pytest.mark.parametrize("reg_space", ["hyperbolic", "euclidean"])
@@ -234,7 +322,7 @@ def test_loss_gradients_scatter_matches_per_example(unit_curv, reg_space, triple
 
 @pytest.mark.parametrize("margin_eps", [0.0, -1.0, float("nan")])
 def test_loss_gradients_rejects_nonpositive_margin(unit_curv, margin_eps):
-    # as the scalar triplet_loss does; a pair-only batch is rejected too
+    # a pair-only batch is rejected too
     state = make_state(np.random.default_rng(6), ["p", "w", "n"], 3, unit_curv)
     for batch in (LossBatch(triplets=(TripletExample("w", "p", "n"),)),
                   LossBatch(pairs=(PairExample("p", "w", 3),))):
@@ -292,11 +380,12 @@ def test_grad_check_h_bounds():
 def test_reg_loss_monotone_in_norms(unit_curv):
     # in the active-hinge region: nondecreasing in the part norm,
     # nonincreasing in the whole norm
-    def with_norm(h):
-        return ball([math.tanh(h / 2), 0.0], unit_curv)
+    def l_z(part_h, whole_h):
+        state = line_state(gamma0=4.0, p=with_hnorm(part_h), w=with_hnorm(whole_h))
+        return one_loss(state, unit_curv, PairExample("p", "w", 2)).l_z
 
-    base = reg_loss(with_norm(1.0), with_norm(1.2), gamma=2.0, n_points=2)
+    base = l_z(1.0, 1.2)
     assert base > 0
     for dh in (0.01, 0.1, 0.3):
-        assert reg_loss(with_norm(1.0 + dh), with_norm(1.2), 2.0, 2) >= base
-        assert reg_loss(with_norm(1.0), with_norm(1.2 + dh), 2.0, 2) <= base
+        assert l_z(1.0 + dh, 1.2) >= base
+        assert l_z(1.0, 1.2 + dh) <= base

@@ -24,6 +24,7 @@ from hypcloud.poincare import (
     geodesic_distance_grad,
     geodesic_distances,
     hyperbolic_norm_grad,
+    _row_norms,
     log_map_origin_vjp,
 )
 
@@ -337,6 +338,15 @@ def central_diff(fn, point, h=1e-6):
         e[j] = h
         grad[j] = (fn(point + e) - fn(point - e)) / (2 * h)
     return grad
+
+
+@pytest.mark.parametrize("shape", [(5,), (7, 3), (100, 16), (3, 4, 8), (1000, 2), (50, 9)])
+def test_row_norms_equal_numpy_norm_bits(shape):
+    # the clip, the norms and the trainer's bits rest on this equality
+    x = np.random.default_rng(11).normal(scale=3.0, size=shape)
+    for keepdims in (False, True):
+        assert np.array_equal(_row_norms(x, keepdims=keepdims),
+                              np.linalg.norm(x, axis=-1, keepdims=keepdims))
 
 
 def test_hyperbolic_norm_grad_fd(curv014):
