@@ -19,8 +19,8 @@ from .cloud import PointCloud
 # because perfbench's tracer patches it by name.
 from .poincare import (  # noqa: F401
     BALL_EPS,
-    CHUNK_ROWS,
     Curvature,
+    _pairwise,
     clip_to_ball,
     geodesic_distance_matrix,
     geodesic_distances,
@@ -49,27 +49,21 @@ class NNIndex:
         self._points = cloud.points
         self._tree = cKDTree(self._points)
 
-    def __len__(self) -> int:
-        return self._points.shape[0]
-
     def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (indices, distances) of the nearest data point per query row."""
         queries = np.asarray(queries, dtype=np.float64)
         squeeze = queries.ndim == 1
         queries = np.atleast_2d(queries)
-        n = len(self)
-        if n == 1:
-            idx = np.zeros(queries.shape[0], dtype=np.intp)
-        else:
-            d2, i2 = self._tree.query(queries, k=2)
-            idx = i2[:, 0].astype(np.intp)
-            # An exact tie at the minimum may be resolved arbitrarily by the
-            # tree; repair those rows to the lowest index.
-            ties = np.nonzero(d2[:, 0] == d2[:, 1])[0]
-            for row in ties:
-                cand = np.asarray(self._tree.query_ball_point(queries[row], d2[row, 0]), dtype=np.intp)
-                cd = _nn_distances(self._points[cand], queries[row])
-                idx[row] = cand[cd == cd.min()].min()
+        d2, i2 = self._tree.query(queries, k=2)
+        idx = i2[:, 0].astype(np.intp)
+        # An exact tie at the minimum may be resolved arbitrarily by the tree;
+        # repair those rows to the lowest index.  (A one-point tree reports
+        # its missing second neighbour at distance inf: it has no ties.)
+        ties = np.nonzero(d2[:, 0] == d2[:, 1])[0]
+        for row in ties:
+            cand = np.asarray(self._tree.query_ball_point(queries[row], d2[row, 0]), dtype=np.intp)
+            cd = _nn_distances(self._points[cand], queries[row])
+            idx[row] = cand[cd == cd.min()].min()
         dist = _nn_distances(self._points[idx], queries)
         if squeeze:
             return idx[0], dist[0]
@@ -78,17 +72,18 @@ class NNIndex:
 
 def euclidean_distance_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Dense pairwise Euclidean distances; per-entry symmetric construction."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    out = np.empty((xs.shape[0], ys.shape[0]), dtype=np.float64)
-    for lo in range(0, xs.shape[0], CHUNK_ROWS):
-        out[lo:lo + CHUNK_ROWS] = _nn_distances(ys[None, :, :], xs[lo:lo + CHUNK_ROWS, None, :])
-    return out
+    return _pairwise(_nn_distances, xs, ys)
 
 
-def _check_variant(variant: str):
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+def _nn_minima(x: PointCloud, y: PointCloud, method: str = "kdtree"):
+    """Euclidean nearest-neighbour distances, x to y and y to x: the one NN
+    pass of `chamfer_distance` and `metrics.evaluate`, twin of `_hyper_minima`."""
+    if method == "kdtree":
+        return NNIndex(y).query(x.points)[1], NNIndex(x).query(y.points)[1]
+    if method == "brute":
+        dm = euclidean_distance_matrix(x.points, y.points)
+        return dm.min(axis=1), dm.min(axis=0)
+    raise ValueError(f"method must be 'kdtree' or 'brute', got {method!r}")
 
 
 def chamfer_distance(
@@ -104,16 +99,9 @@ def chamfer_distance(
     squares (no final square root).  `method` selects the KD-tree path or the
     brute-force reference; both produce bit-identical results.
     """
-    _check_variant(variant)
-    if method == "kdtree":
-        d_xy = NNIndex(y).query(x.points)[1]
-        d_yx = NNIndex(x).query(y.points)[1]
-    elif method == "brute":
-        dm = euclidean_distance_matrix(x.points, y.points)
-        d_xy = dm.min(axis=1)
-        d_yx = dm.min(axis=0)
-    else:
-        raise ValueError(f"method must be 'kdtree' or 'brute', got {method!r}")
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    d_xy, d_yx = _nn_minima(x, y, method)
     if variant == "l2":
         d_xy = d_xy**2
         d_yx = d_yx**2

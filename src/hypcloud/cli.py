@@ -48,12 +48,6 @@ def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _curvature(args) -> Curvature:
-    if args.k >= 0:
-        raise UsageError(f"curvature k must be strictly negative, got {args.k}")
-    return Curvature(args.k)
-
-
 # --- subcommand handlers -----------------------------------------------------
 
 
@@ -69,7 +63,7 @@ def cmd_chamfer(args) -> int:
 def cmd_hypercd(args) -> int:
     pred = read_cloud(args.pred)
     gt = read_cloud(args.gt)
-    curv = _curvature(args)
+    curv = Curvature(args.k)
     dist = hyper_chamfer(pred, gt, curv, args.eps)
     _emit({"variant": "hypercd", "distance": dist, "k": args.k,
            "n_pred": len(pred), "n_gt": len(gt)}, args.out, _config_dict(args))
@@ -77,8 +71,6 @@ def cmd_hypercd(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    if args.threshold <= 0:
-        raise UsageError(f"threshold must be positive, got {args.threshold}")
     pred = read_cloud(args.pred)
     gt = read_cloud(args.gt)
     report = metrics.evaluate(pred, gt, args.threshold)
@@ -139,7 +131,7 @@ def cmd_delta(args) -> int:
             points = read_cloud(args.input).points
         if points.shape[0] < 4:
             raise UsageError(f"need at least 4 points, got {points.shape[0]}")
-        curv = _curvature(args) if args.metric == "hyperbolic" else None
+        curv = Curvature(args.k) if args.metric == "hyperbolic" else None
         report = hyperbolicity.sampled_delta(
             points, args.metric, batch_size=args.batch, n_batches=args.trials,
             seed=args.seed, curv=curv, eps=args.eps)
@@ -208,8 +200,6 @@ def cmd_embed(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.n_cases < 1:
-        raise UsageError(f"n-cases must be >= 1, got {args.n_cases}")
     results = losses.gradient_check_cases(
         args.seed, args.n_cases, h=args.h, flip_sign=args.inject_sign_flip)
     worst_kind, worst = max(results, key=lambda item: item[1])

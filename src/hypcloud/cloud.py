@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,6 +39,23 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def _parsed_cloud(path, rows: list, line_of) -> PointCloud:
+    """The cloud of parsed rows; `line_of(i)` finds row i's line for an error."""
+    points = np.array(rows, dtype=np.float64)
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise CloudParseError(path, line_of(i), f"non-finite coordinate in {points[i].tolist()}")
+    return PointCloud(points)
+
+
+def _xyz_point_line(path, row: int) -> int:
+    """The line number of point `row` (0-based) of an XYZ file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (n for n, raw in enumerate(fh, start=1) if raw.split("#", 1)[0].strip())
+        return next(itertools.islice(lines, row, None))
+
+
 def read_xyz(path) -> PointCloud:
     """Read an ASCII XYZ file: one 'x y z' triple per line, '#' comments."""
     rows = []
@@ -55,7 +73,7 @@ def read_xyz(path) -> PointCloud:
                 raise CloudParseError(path, lineno, f"bad coordinate: {exc}") from None
     if not rows:
         raise CloudParseError(path, 1, "file contains no points")
-    return PointCloud(np.array(rows, dtype=np.float64))
+    return _parsed_cloud(path, rows, lambda i: _xyz_point_line(path, i))
 
 
 def write_xyz(path, cloud: PointCloud):
@@ -132,6 +150,7 @@ def read_ply(path) -> PointCloud:
         if name != "vertex":
             cursor += count
             continue
+        first_line = body_start + cursor
         for i in range(count):
             if cursor + i >= len(body):
                 raise CloudParseError(path, body_start + cursor + i, "unexpected end of file")
@@ -147,7 +166,7 @@ def read_ply(path) -> PointCloud:
         cursor += count
     if not rows:
         raise CloudParseError(path, lineno, "vertex element is empty")
-    return PointCloud(np.array(rows, dtype=np.float64))
+    return _parsed_cloud(path, rows, lambda i: first_line + i)
 
 
 def read_cloud(path) -> PointCloud:

@@ -157,11 +157,6 @@ def four_point_delta(dm: DistanceMatrix) -> float:
     return max(gromov_delta(dm, b) for b in range(dm.n))
 
 
-def _heaviest_base(d: np.ndarray) -> int:
-    """Deterministic base choice: the point with the maximal distance sum."""
-    return int(np.argmax(d.sum(axis=1)))
-
-
 def _sampled(n: int, submatrix, batch_size: int, n_batches: int, seed: int) -> DeltaReport:
     """The batched protocol over n rows; `submatrix(pick)` returns the
     DistanceMatrix of the rows in `pick`, so only the batches' are built."""
@@ -177,7 +172,7 @@ def _sampled(n: int, submatrix, batch_size: int, n_batches: int, seed: int) -> D
     deltas, diams, rels = [], [], []
     for pick in picks:
         sub = submatrix(pick)
-        base = _heaviest_base(sub.d)
+        base = int(np.argmax(sub.d.sum(axis=1)))  # the point with the maximal distance sum
         delta = gromov_delta(sub, base)
         diam = float(sub.d.max())
         deltas.append(delta)

@@ -77,11 +77,6 @@ class TangentVector:
         object.__setattr__(self, "coords", coords)
 
 
-def _check_eps(eps: float):
-    if not (0.0 < eps < 0.1):
-        raise ValueError(f"eps must lie in (0, 0.1), got {eps}")
-
-
 def clip_to_ball(x: np.ndarray, curv: Curvature, eps: float = BALL_EPS) -> np.ndarray:
     """Radially clip vectors (last axis) to norm (1-eps)/sqrt(c).
 
@@ -89,7 +84,8 @@ def clip_to_ball(x: np.ndarray, curv: Curvature, eps: float = BALL_EPS) -> np.nd
     clipped vectors are rescaled onto the margin radius.  The operation is
     bit-exactly idempotent: re-clipping never changes the output again.
     """
-    _check_eps(eps)
+    if not (0.0 < eps < 0.1):
+        raise ValueError(f"eps must lie in (0, 0.1), got {eps}")
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError("cannot project non-finite coordinates")
@@ -213,8 +209,18 @@ def geodesic_distances(xs: np.ndarray, ys: np.ndarray, curv: Curvature) -> np.nd
     return (2.0 / sc) * np.arctanh(arg)
 
 
-# Rows per chunk of the dense distance-matrix builders (here and in chamfer).
+# Rows per chunk of the dense distance-matrix builder.
 CHUNK_ROWS = 256
+
+
+def _pairwise(dist, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Dense matrix of the row distance dist(x, y), CHUNK_ROWS rows of xs at a time."""
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    out = np.empty((xs.shape[0], ys.shape[0]), dtype=np.float64)
+    for lo in range(0, xs.shape[0], CHUNK_ROWS):
+        out[lo:lo + CHUNK_ROWS] = dist(xs[lo:lo + CHUNK_ROWS, None, :], ys[None, :, :])
+    return out
 
 
 def geodesic_distance_matrix(xs: np.ndarray, ys: np.ndarray, curv: Curvature) -> np.ndarray:
@@ -224,13 +230,7 @@ def geodesic_distance_matrix(xs: np.ndarray, ys: np.ndarray, curv: Curvature) ->
     expressions, so transposing the arguments transposes the result
     bit-exactly and the diagonal of D(X, X) is exactly zero.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    out = np.empty((xs.shape[0], ys.shape[0]), dtype=np.float64)
-    for lo in range(0, xs.shape[0], CHUNK_ROWS):
-        rows = xs[lo:lo + CHUNK_ROWS, None, :]
-        out[lo:lo + CHUNK_ROWS] = geodesic_distances(rows, ys[None, :, :], curv)
-    return out
+    return _pairwise(lambda x, y: geodesic_distances(x, y, curv), xs, ys)
 
 
 # --- analytic derivatives --------------------------------------------------

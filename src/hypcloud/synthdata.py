@@ -160,22 +160,13 @@ def sample_primitive(kind: str, params: tuple[float, ...], n: int, seed) -> Poin
         faces = rng.choice(6, size=n, p=areas / areas.sum())
         u = rng.uniform(-0.5, 0.5, size=(n, 2))
         pts = np.empty((n, 3))
-        for face, (axis, sign) in enumerate([
-            (2, 0.5), (2, -0.5), (1, 0.5), (1, -0.5), (0, 0.5), (0, -0.5),
-        ]):
+        # Faces come in +/- pairs along z, y, x; u spans the other two axes.
+        for face in range(6):
             mask = faces == face
-            if axis == 2:
-                pts[mask, 0] = u[mask, 0] * lx
-                pts[mask, 1] = u[mask, 1] * ly
-                pts[mask, 2] = sign * lz
-            elif axis == 1:
-                pts[mask, 0] = u[mask, 0] * lx
-                pts[mask, 1] = sign * ly
-                pts[mask, 2] = u[mask, 1] * lz
-            else:
-                pts[mask, 0] = sign * lx
-                pts[mask, 1] = u[mask, 0] * ly
-                pts[mask, 2] = u[mask, 1] * lz
+            axis = 2 - face // 2
+            pts[mask, axis] = (0.5 - face % 2) * params[axis]
+            for j, other in enumerate(a for a in range(3) if a != axis):
+                pts[mask, other] = u[mask, j] * params[other]
         return PointCloud(pts)
     if kind == "disk":
         radius = params[0]

@@ -3,8 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import hypcloud.chamfer as chamfer_module
+from hypcloud.chamfer import euclidean_distance_matrix
+from hypcloud.poincare import CHUNK_ROWS
 from hypcloud import (
     Curvature,
     NNIndex,
@@ -41,6 +44,10 @@ def test_index_single_point():
     assert i == 0 and d == 4.0
     i, d = idx.query(np.array([1.0, 2.0, 3.0]))
     assert d == 0.0
+    # a batch with an exact hit and a far point, through the tree's k=2 query
+    i, d = idx.query(np.array([[1.0, 2.0, 3.0], [1e6, 2.0, 3.0], [1.0, -2.0, 0.0]]))
+    assert i.dtype == np.intp and list(i) == [0, 0, 0]
+    assert list(d) == [0.0, 1e6 - 1.0, 5.0]
 
 
 def test_index_matches_bruteforce():
@@ -65,6 +72,43 @@ def test_index_tie_breaks_to_lowest_index():
 def test_index_rejects_empty():
     with pytest.raises(ValueError):
         NNIndex(np.zeros((0, 3)))
+
+
+# --- euclidean distance matrix ----------------------------------------------
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+def test_euclidean_matrix_equals_cdist(scale):
+    rng = np.random.default_rng(6)
+    x = scale * rng.normal(size=(300, 3))
+    y = scale * rng.normal(size=(270, 3))
+    d = euclidean_distance_matrix(x, y)
+    assert np.array_equal(d, cdist(x, y))
+    assert np.array_equal(d, euclidean_distance_matrix(y, x).T)
+    assert np.all(np.diag(euclidean_distance_matrix(x, x)) == 0.0)
+
+
+def test_euclidean_matrix_symmetric_in_high_dimension():
+    # cdist sums the 16 squares in sequence, so it differs in the last bits
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(300, 16))
+    y = rng.normal(size=(270, 16))
+    assert np.array_equal(euclidean_distance_matrix(x, y), euclidean_distance_matrix(y, x).T)
+    assert np.all(np.diag(euclidean_distance_matrix(x, x)) == 0.0)
+
+
+def test_euclidean_matrix_memory():
+    # The output plus one chunk's difference array squared in place; squaring
+    # a difference that is still referenced would hold two of them at once.
+    n = 1500
+    x = np.random.default_rng(8).normal(size=(n, 3))
+    tracemalloc.start()
+    try:
+        euclidean_distance_matrix(x, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    chunk = CHUNK_ROWS * n * 3 * 8
+    assert peak < n * n * 8 + 1.5 * chunk
 
 
 # --- euclidean chamfer -------------------------------------------------------

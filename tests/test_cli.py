@@ -98,8 +98,26 @@ def test_metrics_hand_example(capsys, tmp_path):
 
 def test_metrics_bad_threshold(capsys, clouds):
     a, b = clouds
-    code, _, _ = run(capsys, ["metrics", a, b, "--threshold", "0"])
-    assert code == EXIT_USAGE
+    for threshold in ("0", "-1", "nan"):
+        code, out, err = run(capsys, ["metrics", a, b, "--threshold", threshold])
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: threshold must be positive")
+    # the files are read before the library checks the threshold
+    code, _, _ = run(capsys, ["metrics", "/nonexistent.xyz", b, "--threshold", "0"])
+    assert code == EXIT_PARSE
+
+
+def test_non_finite_cloud_exit_code(capsys, clouds, tmp_path):
+    a, _ = clouds
+    bad = tmp_path / "nf.xyz"
+    bad.write_text("1 2 3\n4 nan 6\n")
+    for argv in (["chamfer", str(bad), a], ["hypercd", a, str(bad)],
+                 ["metrics", a, str(bad)], ["delta", str(bad)]):
+        code, out, err = run(capsys, argv)
+        assert code == EXIT_PARSE
+        assert out == ""
+        assert "nf.xyz:2" in err
 
 
 def test_delta_star_tree_matrix(capsys, tmp_path):
@@ -292,8 +310,9 @@ def test_gradcheck_sign_flip_fails(capsys):
 
 
 def test_gradcheck_zero_cases_usage_error(capsys):
-    code, _, _ = run(capsys, ["gradcheck", "--n-cases", "0"])
+    code, _, err = run(capsys, ["gradcheck", "--n-cases", "0"])
     assert code == EXIT_USAGE
+    assert err.startswith("error: n_cases must be >= 1")
 
 
 def test_unknown_command_usage(capsys):

@@ -44,6 +44,16 @@ def test_xyz_malformed_reports_line(tmp_path):
         read_xyz(path)
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e400"])
+def test_xyz_non_finite_reports_line(tmp_path, token):
+    path = tmp_path / "nf.xyz"
+    path.write_text(f"1 2 3\n# comment\n\n4 {token} 6\n7 8 nan\n")
+    with pytest.raises(CloudParseError, match="non-finite") as err:
+        read_xyz(path)
+    assert err.value.line == 4
+    assert str(err.value).startswith(f"{path}:4:")
+
+
 PLY_BASIC = """ply
 format ascii 1.0
 comment demo
@@ -96,6 +106,15 @@ def test_ply_rejects_binary_and_garbage(tmp_path):
     path.write_text("not a ply\n")
     with pytest.raises(CloudParseError):
         read_ply(path)
+
+
+@pytest.mark.parametrize("token", ["nan", "-inf", "1e400"])
+def test_ply_non_finite_reports_line(tmp_path, token):
+    path = tmp_path / "nf.ply"
+    path.write_text(PLY_EXTRA.replace("2 0 0 255", f"2 {token} 0 255"))
+    with pytest.raises(CloudParseError, match="non-finite") as err:
+        read_ply(path)
+    assert err.value.line == 12
 
 
 def test_read_cloud_dispatch(tmp_path):

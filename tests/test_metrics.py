@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hypcloud import PointCloud, chamfer_distance, evaluate
+from hypcloud.metrics import MetricsReport
 
 
 def cloud(rows):
@@ -67,12 +68,14 @@ def test_cd_matches_l1_chamfer():
     x = cloud(rng.normal(size=(33, 3)))
     y = cloud(rng.normal(size=(47, 3)))
     rep = evaluate(x, y, 0.1)
-    assert rep.cd == pytest.approx(chamfer_distance(x, y, "l1"), abs=1e-12)
+    assert rep.cd == chamfer_distance(x, y, "l1")
 
 
 def test_threshold_validation():
     x = cloud([[0.0, 0, 0]])
-    with pytest.raises(ValueError):
-        evaluate(x, x, 0.0)
-    with pytest.raises(ValueError):
-        evaluate(x, x, -1.0)
+    for threshold in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            evaluate(x, x, threshold)
+        with pytest.raises(ValueError, match="threshold must be positive"):
+            MetricsReport(acc=0.0, comp=0.0, cd=0.0, prec=1.0, recall=1.0, f1=1.0,
+                          threshold=threshold)
