@@ -12,13 +12,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 
 from . import hyperbolicity, losses, metrics, svgplot, synthdata
 from .train import DivergenceError, TrainConfig, evaluate_hierarchy, export_disk, init_state
 from .train import train as train_embeddings
 from .chamfer import chamfer_distance, hyper_chamfer
-from .cloud import CloudParseError, read_cloud
+from .cloud import CloudParseError, _read_embedding_csv, _read_matrix, read_cloud
 from .poincare import Curvature, NumericalDomainError, clip_to_ball, hyperbolic_norms
 
 EXIT_OK = 0
@@ -80,61 +79,21 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _read_matrix(path) -> np.ndarray:
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                rows.append([float(f) for f in line.split()])
-            except ValueError as exc:
-                raise CloudParseError(path, lineno, f"bad matrix entry: {exc}") from None
-    if not rows or any(len(r) != len(rows) for r in rows):
-        raise CloudParseError(path, 1, "expected a square whitespace-separated matrix")
-    return np.array(rows, dtype=np.float64)
-
-
-def _read_embedding_csv(path) -> np.ndarray:
-    """Coordinate columns (c0..) of an embedding CSV written by cmd_embed."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    if not lines:
-        raise CloudParseError(path, 1, "empty embedding CSV")
-    header = lines[0].split(",")
-    coord_cols = [i for i, name in enumerate(header) if name.startswith("c")
-                  and name[1:].isdigit()]
-    if not coord_cols:
-        raise CloudParseError(path, 1, "no coordinate columns c0..c{d-1} found")
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        try:
-            rows.append([float(fields[i]) for i in coord_cols])
-        except (ValueError, IndexError) as exc:
-            raise CloudParseError(path, lineno, f"bad embedding row: {exc}") from None
-    return np.array(rows, dtype=np.float64)
-
-
 def cmd_delta(args) -> int:
     if args.metric == "precomputed":
-        dm = hyperbolicity.DistanceMatrix(_read_matrix(args.input))
-        if dm.n < 4:
-            raise UsageError(f"need at least 4 points, got {dm.n}")
-        report = hyperbolicity.sampled_delta_matrix(
-            dm, batch_size=args.batch, n_batches=args.trials, seed=args.seed)
+        data = _read_matrix(args.input)
+    elif args.input.endswith(".csv"):
+        data = _read_embedding_csv(args.input)
     else:
-        if args.input.endswith(".csv"):
-            points = _read_embedding_csv(args.input)
-        else:
-            points = read_cloud(args.input).points
-        if points.shape[0] < 4:
-            raise UsageError(f"need at least 4 points, got {points.shape[0]}")
+        data = read_cloud(args.input).points
+    if data.shape[0] < 4:
+        raise UsageError(f"need at least 4 points, got {data.shape[0]}")
+    batches = {"batch_size": args.batch, "n_batches": args.trials, "seed": args.seed}
+    if args.metric == "precomputed":
+        report = hyperbolicity.sampled_delta_matrix(hyperbolicity.DistanceMatrix(data), **batches)
+    else:
         curv = Curvature(args.k) if args.metric == "hyperbolic" else None
-        report = hyperbolicity.sampled_delta(
-            points, args.metric, batch_size=args.batch, n_batches=args.trials,
-            seed=args.seed, curv=curv, eps=args.eps)
+        report = hyperbolicity.sampled_delta(data, args.metric, curv=curv, eps=args.eps, **batches)
     doc = {"delta": report.delta, "diameter": report.diameter,
            "delta_rel": report.delta_rel, "base_point": report.base_point,
            "batches": report.batches, "samples_per_batch": report.samples_per_batch,

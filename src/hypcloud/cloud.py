@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -39,41 +39,54 @@ class PointCloud:
         return self.points.shape[0]
 
 
-def _parsed_cloud(path, rows: list, line_of) -> PointCloud:
-    """The cloud of parsed rows; `line_of(i)` finds row i's line for an error."""
-    points = np.array(rows, dtype=np.float64)
-    finite = np.isfinite(points).all(axis=1)
+def _float_rows(path, rows, cols, width: int, what: str) -> np.ndarray:
+    """The float64 array of columns `cols` of `(line number, fields)` rows.
+
+    A row with fewer than `width` fields, a token `float` rejects and a non-finite
+    value raise CloudParseError at their line; the first two come in file order.
+    """
+    take = itemgetter(*cols) if len(cols) > 1 else lambda fields: (fields[cols[0]],)
+    blocks, tokens, lines = [], [], []
+    try:
+        for line, fields in rows:
+            if len(fields) < width:
+                raise CloudParseError(path, line, f"expected at least {width} fields, got {len(fields)}")
+            tokens += take(fields)
+            lines.append(line)
+            if len(tokens) >= 3072:  # convert in blocks to bound the token strings held at once
+                blocks.append(np.array(tokens, dtype=np.float64))
+                tokens.clear()
+        blocks.append(np.array(tokens, dtype=np.float64))
+    except ValueError:  # a failed conversion or a malformed row: an earlier bad token comes first
+        for i, token in enumerate(tokens, sum(map(len, blocks))):
+            try:
+                float(token)
+            except ValueError as exc:
+                raise CloudParseError(path, lines[i // len(cols)], f"bad {what}: {exc}") from None
+        raise
+    values = np.concatenate(blocks)
+    finite = np.isfinite(values)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise CloudParseError(path, line_of(i), f"non-finite coordinate in {points[i].tolist()}")
-    return PointCloud(points)
+        raise CloudParseError(path, lines[i // len(cols)], f"non-finite {what} {values[i]}")
+    return values.reshape(len(lines), len(cols))
 
 
-def _xyz_point_line(path, row: int) -> int:
-    """The line number of point `row` (0-based) of an XYZ file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = (n for n, raw in enumerate(fh, start=1) if raw.split("#", 1)[0].strip())
-        return next(itertools.islice(lines, row, None))
+def _text_rows(fh):
+    """`(line number, fields)` of each whitespace-separated row; '#' starts a comment."""
+    for line, raw in enumerate(fh, start=1):
+        fields = raw.split("#", 1)[0].split()
+        if fields:
+            yield line, fields
 
 
 def read_xyz(path) -> PointCloud:
     """Read an ASCII XYZ file: one 'x y z' triple per line, '#' comments."""
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if len(fields) < 3:
-                raise CloudParseError(path, lineno, f"expected 3 coordinates, got {len(fields)}")
-            try:
-                rows.append([float(fields[0]), float(fields[1]), float(fields[2])])
-            except ValueError as exc:
-                raise CloudParseError(path, lineno, f"bad coordinate: {exc}") from None
-    if not rows:
+        points = _float_rows(path, _text_rows(fh), (0, 1, 2), 3, "coordinate")
+    if not len(points):
         raise CloudParseError(path, 1, "file contains no points")
-    return _parsed_cloud(path, rows, lambda i: _xyz_point_line(path, i))
+    return PointCloud(points)
 
 
 def write_xyz(path, cloud: PointCloud):
@@ -106,18 +119,16 @@ def read_ply(path) -> PointCloud:
             if len(fields) < 2 or fields[1] != "ascii":
                 raise CloudParseError(path, lineno, "only 'format ascii' PLY is supported")
         elif fields[0] == "element":
-            if len(fields) != 3:
-                raise CloudParseError(path, lineno, "malformed element declaration")
-            try:
-                count = int(fields[2])
-            except ValueError:
-                raise CloudParseError(path, lineno, f"bad element count {fields[2]!r}") from None
+            if len(fields) != 3 or not fields[2].isdecimal():
+                raise CloudParseError(path, lineno, f"malformed element declaration {raw.strip()!r}")
             current = fields[1]
-            elements.append((current, count))
+            elements.append((current, int(fields[2])))
             props[current] = []
         elif fields[0] == "property":
             if current is None:
                 raise CloudParseError(path, lineno, "property before any element")
+            if len(fields) < 3:
+                raise CloudParseError(path, lineno, "malformed property declaration")
             if fields[1] == "list":
                 props[current].append("__list__")
             else:
@@ -142,31 +153,19 @@ def read_ply(path) -> PointCloud:
         extra = [p for p in vprops if p not in ("x", "y", "z")]
         warnings.warn(f"{path}: ignoring vertex properties {extra}")
 
-    body_start = lineno + 1
-    cursor = 0
-    body = lines[lineno:]
-    rows = []
-    for name, count in elements:
-        if name != "vertex":
-            cursor += count
-            continue
-        first_line = body_start + cursor
-        for i in range(count):
-            if cursor + i >= len(body):
-                raise CloudParseError(path, body_start + cursor + i, "unexpected end of file")
-            fields = body[cursor + i].split()
-            if len(fields) < len(vprops):
-                raise CloudParseError(
-                    path, body_start + cursor + i,
-                    f"expected {len(vprops)} vertex fields, got {len(fields)}")
-            try:
-                rows.append([float(fields[c]) for c in cols])
-            except ValueError as exc:
-                raise CloudParseError(path, body_start + cursor + i, f"bad coordinate: {exc}") from None
-        cursor += count
-    if not rows:
+    def vertex_rows(start=lineno):  # lines[lineno] is the first body line
+        for name, count in elements:
+            if name == "vertex":
+                for n in range(start, min(start + count, len(lines))):
+                    yield n + 1, lines[n].split()
+                if start + count > len(lines):
+                    raise CloudParseError(path, len(lines) + 1, "unexpected end of file")
+            start += count
+
+    points = _float_rows(path, vertex_rows(), cols, len(vprops), "coordinate")
+    if not len(points):
         raise CloudParseError(path, lineno, "vertex element is empty")
-    return _parsed_cloud(path, rows, lambda i: first_line + i)
+    return PointCloud(points)
 
 
 def read_cloud(path) -> PointCloud:
@@ -174,3 +173,27 @@ def read_cloud(path) -> PointCloud:
     if Path(path).suffix.lower() == ".ply":
         return read_ply(path)
     return read_xyz(path)
+
+
+def _read_matrix(path) -> np.ndarray:
+    """A square whitespace-separated distance matrix, '#' comments allowed."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = list(_text_rows(fh))  # every field is kept, so streaming saves nothing
+    matrix = _float_rows(path, rows, range(len(rows)), len(rows), "matrix entry")
+    for line, fields in rows:
+        if len(fields) > len(rows):
+            raise CloudParseError(
+                path, line, f"{len(fields)} entries in a row of a {len(rows)}-row matrix")
+    return matrix
+
+
+def _read_embedding_csv(path) -> np.ndarray:
+    """Coordinate columns (c0..) of an embedding CSV written by `hypcloud embed`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = ((line, raw.rstrip("\n").split(",")) for line, raw in enumerate(fh, start=1)
+                if raw != "\n" and not raw.startswith("#"))
+        line, header = next(rows, (1, []))
+        cols = [i for i, name in enumerate(header) if name.startswith("c") and name[1:].isdigit()]
+        if not cols:
+            raise CloudParseError(path, line, "no coordinate columns c0..c{d-1} found")
+        return _float_rows(path, rows, cols, max(cols) + 1, "coordinate")

@@ -120,6 +120,27 @@ def test_non_finite_cloud_exit_code(capsys, clouds, tmp_path):
         assert "nf.xyz:2" in err
 
 
+def test_delta_input_errors_report_line(capsys, tmp_path):
+    matrix = tmp_path / "m.txt"
+    csv = tmp_path / "e2.csv"
+    cases = [
+        (matrix, "# d\n0 1 1 1\n1 0 2 2\n1 2 0 nan\n1 2 2 0\n", ["precomputed"], "m.txt:4:"),
+        (matrix, "0 1 1 1\n1 0 2 2\n1 2 0 2\n1 2 2 inf\n", ["precomputed"], "m.txt:4:"),
+        (matrix, "0 1 1 1\n1 0 2 2\n1 2 0 2 7\n1 2 2 0\n", ["precomputed"], "m.txt:3:"),
+        (csv, "# config: {}\nid,c0,c1\na,0.1,0.2\nb,0.3,x\nc,0,0\nd,0.1,0\n",
+         ["euclidean", "hyperbolic"], "e2.csv:4:"),
+        (csv, "# config: {}\nid,c0,c1\na,0.1,0.2\nb,0.3,0\nc,nan,0\nd,0.1,0\n",
+         ["euclidean", "hyperbolic"], "e2.csv:5:"),
+    ]
+    for path, text, metrics, where in cases:
+        path.write_text(text)
+        for metric in metrics:
+            code, out, err = run(capsys, ["delta", str(path), "--metric", metric])
+            assert code == EXIT_PARSE
+            assert out == ""
+            assert where in err
+
+
 def test_delta_star_tree_matrix(capsys, tmp_path):
     matrix = tmp_path / "star.txt"
     matrix.write_text("0 1 1 1\n1 0 2 2\n1 2 0 2\n1 2 2 0\n")
@@ -144,6 +165,11 @@ def test_delta_too_few_points(capsys, tmp_path):
     code, _, err = run(capsys, ["delta", str(few)])
     assert code == EXIT_USAGE
     assert "at least 4" in err
+    matrix = tmp_path / "few.txt"
+    matrix.write_text("0 1 1\n1 0 1\n1 1 0\n")
+    code, _, err = run(capsys, ["delta", str(matrix), "--metric", "precomputed"])
+    assert code == EXIT_USAGE
+    assert "at least 4 points, got 3" in err
 
 
 def test_delta_repeat_identical_bytes(capsys, tmp_path):
