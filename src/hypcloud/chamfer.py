@@ -2,12 +2,13 @@
 
 Euclidean L1/L2 Chamfer distance with exact KD-tree acceleration, a
 brute-force reference path, and the hyperbolic Chamfer distance where the
-per-point metric is the Poincare-ball geodesic distance, found by an exact
-shell-stratified KD-tree search.
+per-point metric is the Poincare-ball geodesic distance.  Both find nearest
+neighbours with one exact KD-tree search, `_nearest`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -17,14 +18,8 @@ from scipy.spatial import cKDTree
 from .cloud import PointCloud
 # geodesic_distance_matrix is not called here; it stays a module attribute
 # because perfbench's tracer patches it by name.
-from .poincare import (  # noqa: F401
-    BALL_EPS,
-    Curvature,
-    _pairwise,
-    clip_to_ball,
-    geodesic_distance_matrix,
-    geodesic_distances,
-)
+from .poincare import (BALL_EPS, Curvature, _pairwise, clip_to_ball,  # noqa: F401
+                       geodesic_distance_matrix, geodesic_distances)
 
 VARIANTS = ("l1", "l2")
 
@@ -35,39 +30,93 @@ def _nn_distances(points: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return np.sqrt(((queries - points) ** 2).sum(axis=-1))
 
 
-class NNIndex:
-    """Exact Euclidean nearest-neighbor index over a point cloud.
+# --- exact nearest neighbours -------------------------------------------------
+# Targets come in shells, one cKDTree each.  Each shell's Euclidean nearest
+# neighbour seeds the bound d*, and `radius` turns d* into a Euclidean radius
+# that holds every target whose computed distance can equal the computed
+# minimum.  A query row takes the whole shell when that radius passes the far
+# corner of its box, the shell's points within it when its second neighbour is
+# inside, and otherwise only the seed.
 
-    Query results match a brute-force argmin bit-exactly: distances are
-    recomputed from the winning index with the same expression the
-    brute-force path uses, and exact ties resolve to the lowest index.
-    """
+# Near rows per candidate pass (1024 cost recon-boundary 9 MB more peak RSS
+# than 256) and pairs per block of a shell taken whole bound scratch memory.
+QUERY_ROWS = 256
+WHOLE_PAIRS = 2**18
+_U = np.finfo(np.float64).eps / 2
+_NO_INDEX = np.iinfo(np.intp).max
+
+
+def _settle(best, arg, rows, d, ids):
+    """Lower best[rows] to d (rows may repeat); arg keeps each row's lowest id at its best."""
+    before = best[rows]
+    np.minimum.at(best, rows, d)
+    after = best[rows]
+    arg[rows[after < before]] = _NO_INDEX
+    at = d == after
+    np.minimum.at(arg, rows[at], ids[at])
+
+
+def _nearest(queries, shells, kernel, radius):
+    """(distances, indices) of each query row's nearest target under `kernel`:
+    the dense kernel matrix's row minima bit for bit, exact ties to the lowest
+    index.  `shells` holds (tree, ids, b) per group of targets: their cKDTree,
+    their indices among all targets and the b of `radius(d_star, b)`."""
+    best = np.full(len(queries), np.inf)
+    arg = np.full(len(queries), _NO_INDEX, dtype=np.intp)
+    second = []  # per shell, each row's second tree distance
+    for tree, ids, _ in shells:
+        e, j = tree.query(queries, k=2)
+        _settle(best, arg, np.arange(len(queries)), kernel(queries, tree.data[j[:, 0]]), ids[j[:, 0]])
+        second.append(e[:, 1].copy())
+    for (tree, ids, b), e1 in zip(shells, second):
+        r = radius(best, b)
+        near = np.flatnonzero(e1 <= r)
+        for rows in (near[i:i + QUERY_ROWS] for i in range(0, len(near), QUERY_ROWS)):
+            q = queries[rows]
+            far = np.maximum(np.abs(q - tree.mins), np.abs(q - tree.maxes))
+            covers = r[rows] ** 2 >= (far * far).sum(axis=1)
+            whole, hit = rows[covers], rows[~covers]
+            step = max(1, WHOLE_PAIRS // tree.n)
+            for w in (whole[i:i + step] for i in range(0, len(whole), step)):
+                d = kernel(queries[w, None, :], tree.data[None, :, :])
+                j = d.argmin(axis=1)
+                _settle(best, arg, w, d[np.arange(len(w)), j], ids[j])
+            cand = tree.query_ball_point(queries[hit], r[hit], return_sorted=False)
+            counts = np.fromiter(map(len, cand), dtype=np.intp, count=len(hit))
+            qi = np.repeat(hit, counts)
+            ti = np.fromiter(itertools.chain.from_iterable(cand), dtype=np.intp,
+                             count=int(counts.sum()))
+            _settle(best, arg, qi, kernel(queries[qi], tree.data[ti]), ids[ti])
+    return best, arg
+
+
+# Euclidean: one shell, radius d* (1 + w).  With unit roundoff u and rows of
+# dimension n, a squared distance summed in any order from n rounded squares
+# of rounded differences, as both `_nn_distances` and cKDTree compute it, is
+# within (n + 2)u of the exact one, and `_nn_distances`' square root adds u.
+# A target whose computed distance ties the computed minimum, at most d*, so
+# has a tree squared distance of at most d*^2 (1 + (2n + 6)u) and a tree
+# distance (cKDTree's square root) of at most d* (1 + (n + 4)u).  Forming the
+# radius loses 2u, and the tree's ball test squares it: w = (n + 6)u covers
+# both to first order.  The search takes w = 2(n + 6)u; the spare covers the
+# rest.
+
+class NNIndex:
+    """Exact Euclidean nearest-neighbor index over a point cloud: results match
+    a brute-force argmin bit-exactly, exact ties resolve to the lowest index."""
 
     def __init__(self, cloud: PointCloud):
         if not isinstance(cloud, PointCloud):
             cloud = PointCloud(cloud)
-        self._points = cloud.points
-        self._tree = cKDTree(self._points)
+        self._tree = cKDTree(cloud.points)
 
     def query(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Return (indices, distances) of the nearest data point per query row."""
         queries = np.asarray(queries, dtype=np.float64)
-        squeeze = queries.ndim == 1
-        queries = np.atleast_2d(queries)
-        d2, i2 = self._tree.query(queries, k=2)
-        idx = i2[:, 0].astype(np.intp)
-        # An exact tie at the minimum may be resolved arbitrarily by the tree;
-        # repair those rows to the lowest index.  (A one-point tree reports
-        # its missing second neighbour at distance inf: it has no ties.)
-        ties = np.nonzero(d2[:, 0] == d2[:, 1])[0]
-        for row in ties:
-            cand = np.asarray(self._tree.query_ball_point(queries[row], d2[row, 0]), dtype=np.intp)
-            cd = _nn_distances(self._points[cand], queries[row])
-            idx[row] = cand[cd == cd.min()].min()
-        dist = _nn_distances(self._points[idx], queries)
-        if squeeze:
-            return idx[0], dist[0]
-        return idx, dist
+        scale = 1.0 + 2.0 * (queries.shape[-1] + 6) * _U
+        dist, idx = _nearest(np.atleast_2d(queries), [(self._tree, np.arange(self._tree.n), None)],
+                             _nn_distances, lambda d, b: scale * d)
+        return (idx[0], dist[0]) if queries.ndim == 1 else (idx, dist)
 
 
 def euclidean_distance_matrix(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -86,13 +135,8 @@ def _nn_minima(x: PointCloud, y: PointCloud, method: str = "kdtree"):
     raise ValueError(f"method must be 'kdtree' or 'brute', got {method!r}")
 
 
-def chamfer_distance(
-    x: PointCloud,
-    y: PointCloud,
-    variant: str = "l1",
-    *,
-    method: str = "kdtree",
-) -> float:
+def chamfer_distance(x: PointCloud, y: PointCloud, variant: str = "l1", *,
+                     method: str = "kdtree") -> float:
     """Symmetric Chamfer distance between two clouds.
 
     The L1 variant averages nearest-neighbor distances, the L2 variant their
@@ -103,22 +147,18 @@ def chamfer_distance(
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     d_xy, d_yx = _nn_minima(x, y, method)
     if variant == "l2":
-        d_xy = d_xy**2
-        d_yx = d_yx**2
+        d_xy, d_yx = d_xy**2, d_yx**2
     return float(d_xy.mean() + d_yx.mean())
 
 
-# --- exact pruned hyperbolic nearest neighbours -------------------------------
-#
+# --- hyperbolic: shells by 1 - c|y|^2 -----------------------------------------
 # For a query x with a = 1 - c|x|^2 the ball distance to a target y is
 #     d = acosh(1 + 2c s / a) / sqrt(c),   s = |x - y|^2 / (1 - c|y|^2),
 # increasing in s.  A target closer than d has s <= a sinh^2(sqrt(c) d / 2) / c
 # and, among targets with 1 - c|y|^2 <= b, lies within Euclidean radius
 # sqrt(s b) of x.  Targets are grouped into shells by the binary exponent of
-# 1 - c|y|^2, one cKDTree each, so b (the shell maximum) is below twice any
-# target's 1 - c|y|^2 and the radius stays tight up to the clip margin.  The
-# bound d* is the least distance to the shells' Euclidean nearest neighbours;
-# a shell whose nearest neighbour lies beyond the radius has no candidate.
+# 1 - c|y|^2, so b (the shell maximum) is below twice any target's
+# 1 - c|y|^2 and the radius stays tight up to the clip margin.
 #
 # The search must keep every target whose *computed* distance is the computed
 # minimum, so d* is widened by the forward error of `geodesic_distances`.
@@ -139,12 +179,6 @@ def chamfer_distance(
 # tau_k = 1/2 the bound says nothing: a query with d* > 0 then takes every
 # target as a candidate.
 
-# Query rows per pass of the pruned search and pairs per block of a shell it
-# takes whole; together they bound its scratch memory.
-QUERY_ROWS = 1024
-WHOLE_PAIRS = 2**18
-_U = np.finfo(np.float64).eps / 2
-
 
 def distance_tolerance(a_min: float, dim: int) -> float:
     """The relative widening tau of the pruned search's distance bound."""
@@ -152,72 +186,38 @@ def distance_tolerance(a_min: float, dim: int) -> float:
     return 3.0 * tau_k if tau_k <= 0.5 else math.inf
 
 
-def _hyper_nn(queries, a_q, targets, a_t, curv: Curvature, tau: float) -> np.ndarray:
-    """Per query row, the least computed geodesic distance to any target row.
-
-    `a_q` and `a_t` are the rows' 1 - c|.|^2.  Equal bit for bit to
-    `geodesic_distance_matrix(queries, targets, curv).min(axis=1)`, from a
-    few candidate pairs per query.
-    """
-    c = curv.c
-    exps = np.frexp(a_t)[1]
-    shells = [(cKDTree(targets[exps == e]), float(a_t[exps == e].max())) for e in np.unique(exps)]
-    best = np.empty(len(queries))
-    for lo in range(0, len(queries), QUERY_ROWS):
-        q = queries[lo:lo + QUERY_ROWS]
-        # Seed d* from each shell's Euclidean nearest neighbour.
-        d_star = np.full(len(q), np.inf)
-        near = []
-        for tree, _ in shells:
-            e, j = tree.query(q)
-            near.append(e)
-            np.minimum(d_star, geodesic_distances(q, tree.data[j], curv), out=d_star)
-        if math.isinf(tau):
-            widened = np.where(d_star > 0.0, np.inf, 0.0)
-        else:
-            widened = (1.0 + tau) * d_star
-        s_bound = a_q[lo:lo + QUERY_ROWS] * np.sinh((0.5 * math.sqrt(c)) * widened) ** 2 / c
-        for (tree, b), e in zip(shells, near):
-            radius = np.sqrt(s_bound * b)
-            # A radius past the far corner of the shell's box takes the whole
-            # shell: evaluate it in blocks of about WHOLE_PAIRS pairs.
-            far = np.maximum(np.abs(q - tree.mins), np.abs(q - tree.maxes))
-            covers = radius * radius >= (far * far).sum(axis=1)
-            whole = np.flatnonzero(covers)
-            step = max(1, WHOLE_PAIRS // tree.n)
-            for w in (whole[i:i + step] for i in range(0, len(whole), step)):
-                d = geodesic_distances(q[w, None, :], tree.data[None, :, :], curv)
-                d_star[w] = np.minimum(d_star[w], d.min(axis=1))
-            hit = np.flatnonzero((e <= radius) & ~covers)
-            cand = tree.query_ball_point(q[hit], radius[hit], return_sorted=False)
-            counts = np.fromiter(map(len, cand), dtype=np.intp, count=len(hit))
-            qi = np.repeat(hit, counts)
-            ti = np.fromiter(itertools.chain.from_iterable(cand), dtype=np.intp,
-                             count=int(counts.sum()))
-            np.minimum.at(d_star, qi, geodesic_distances(q[qi], tree.data[ti], curv))
-        best[lo:lo + QUERY_ROWS] = d_star
-    return best
-
-
 def _hyper_minima(xb: np.ndarray, yb: np.ndarray, curv: Curvature):
     """Nearest-neighbour geodesic distances between ball rows, x to y and y to x."""
-    a_x = 1.0 - curv.c * (xb * xb).sum(axis=1)
-    a_y = 1.0 - curv.c * (yb * yb).sum(axis=1)
+    c = curv.c
+    a_x = 1.0 - c * (xb * xb).sum(axis=1)
+    a_y = 1.0 - c * (yb * yb).sum(axis=1)
     tau = distance_tolerance(float(a_x.min() * a_y.min()), xb.shape[1])
-    return _hyper_nn(xb, a_x, yb, a_y, curv, tau), _hyper_nn(yb, a_y, xb, a_x, curv, tau)
+    kernel = functools.partial(geodesic_distances, curv=curv)
+
+    def nearest(queries, a_q, targets, a_t):
+        def radius(d_star, b):
+            widened = (np.where(d_star > 0.0, np.inf, 0.0) if math.isinf(tau)
+                       else (1.0 + tau) * d_star)
+            return np.sqrt(a_q * np.sinh((0.5 * math.sqrt(c)) * widened) ** 2 / c * b)
+
+        exps = np.frexp(a_t)[1]
+        shells = [(cKDTree(targets[ids]), ids, float(a_t[ids].max()))
+                  for ids in (np.flatnonzero(exps == e) for e in np.unique(exps))]
+        return _nearest(queries, shells, kernel, radius)[0]
+
+    return nearest(xb, a_x, yb, a_y), nearest(yb, a_y, xb, a_x)
 
 
 def hyper_chamfer(x: PointCloud, y: PointCloud, curv: Curvature, eps: float = BALL_EPS) -> float:
     """Chamfer distance under the ball geodesic metric.
 
     Both clouds are first projected into the ball.  Each point's nearest
-    neighbour under the hyperbolic metric itself (the Euclidean nearest
-    neighbour is not the hyperbolic one in general) comes from an exact
-    pruned search: the result equals the minima of the dense
+    neighbour under the hyperbolic metric itself (not the Euclidean one) comes
+    from the exact search: the result equals the minima of the dense
     `geodesic_distance_matrix` bit for bit, without building it.  Only
     candidate pairs are evaluated, so `NumericalDomainError` is raised when a
-    candidate's arctanh argument reaches 1, not for a far pair that the
-    search rules out.
+    candidate's arctanh argument reaches 1, not for a far pair the search
+    rules out.
     """
     xb = clip_to_ball(x.points, curv, eps)
     yb = clip_to_ball(y.points, curv, eps)

@@ -99,8 +99,9 @@ def write_xyz(path, cloud: PointCloud):
 def read_ply(path) -> PointCloud:
     """Read an ASCII PLY file's vertex x/y/z columns.
 
-    Only 'format ascii' files are accepted.  Non-vertex elements and extra
-    vertex properties are skipped with a warning.
+    Only files that declare 'format ascii' before their first element are
+    accepted, and each element name may be declared once.  Non-vertex
+    elements and extra vertex properties are skipped with a warning.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -111,6 +112,7 @@ def read_ply(path) -> PointCloud:
     props: dict[str, list[str]] = {}
     lineno = 1
     current = None
+    ascii_seen = False
     for lineno, raw in enumerate(lines[1:], start=2):
         fields = raw.strip().split()
         if not fields or fields[0] == "comment":
@@ -118,10 +120,15 @@ def read_ply(path) -> PointCloud:
         if fields[0] == "format":
             if len(fields) < 2 or fields[1] != "ascii":
                 raise CloudParseError(path, lineno, "only 'format ascii' PLY is supported")
+            ascii_seen = True
+        elif fields[0] in ("element", "end_header") and not ascii_seen:
+            raise CloudParseError(path, lineno, "no 'format ascii' line before this one")
         elif fields[0] == "element":
             if len(fields) != 3 or not fields[2].isdecimal():
                 raise CloudParseError(path, lineno, f"malformed element declaration {raw.strip()!r}")
             current = fields[1]
+            if current in props:
+                raise CloudParseError(path, lineno, f"element {current!r} declared twice")
             elements.append((current, int(fields[2])))
             props[current] = []
         elif fields[0] == "property":

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from scipy.spatial.distance import cdist
 
 import hypcloud.chamfer as chamfer_module
 from hypcloud.chamfer import euclidean_distance_matrix
+from hypcloud.cli import main
 from hypcloud.poincare import CHUNK_ROWS
 from hypcloud import (
     Curvature,
@@ -15,10 +17,12 @@ from hypcloud import (
     PointCloud,
     chamfer_distance,
     clip_to_ball,
+    evaluate,
     geodesic_distance,
     geodesic_distance_matrix,
     hyper_chamfer,
     project_to_ball,
+    write_xyz,
 )
 
 
@@ -67,6 +71,75 @@ def test_index_tie_breaks_to_lowest_index():
     i, d = idx.query(np.array([[0.5, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     assert list(i) == [0, 1, 0]
     assert np.allclose(d, [0.5, 0.0, 0.0])
+
+
+def tie_pair(kind, scale):
+    """(x, y) whose nearest neighbours tie exactly: every target point twice,
+    or both clouds on a 0.25 grid.  At scale 6 most rows clip to the ball."""
+    rng = np.random.default_rng(21)
+    if kind == "duplicated":
+        base = rng.normal(size=(50, 3))
+        return scale * rng.normal(size=(100, 3)), scale * np.vstack([base, base[rng.permutation(50)]])
+    x, y = np.round(4.0 * rng.normal(size=(2, 100, 3))) / 4.0
+    return scale * x, scale * y
+
+
+@pytest.mark.parametrize("scale", [1.0, 6.0], ids=["interior", "x6"])
+@pytest.mark.parametrize("kind", ["duplicated", "grid"])
+def test_exact_ties(kind, scale, tmp_path, capsys):
+    # The tree reports tied rows in any order; the search must still find the
+    # lowest index.  A tie repair that ball-queried with the tree's own
+    # distance as the radius could find no point and raised here.
+    x, y = tie_pair(kind, scale)
+    dm = euclidean_distance_matrix(x, y)
+    i, d = NNIndex(cloud(y)).query(x)
+    assert np.array_equal(i, loop_nn_oracle(y, x)[0])
+    assert np.array_equal(d, dm.min(axis=1))
+    for variant in ("l1", "l2"):
+        assert (chamfer_distance(cloud(x), cloud(y), variant)
+                == chamfer_distance(cloud(x), cloud(y), variant, method="brute"))
+    d_pred, d_gt = dm.min(axis=1), dm.min(axis=0)
+    rep = evaluate(cloud(x), cloud(y), 0.5 * scale)
+    prec, recall = (d_pred <= 0.5 * scale).mean(), (d_gt <= 0.5 * scale).mean()
+    assert (rep.acc, rep.comp, rep.prec, rep.recall) == (d_pred.mean(), d_gt.mean(), prec, recall)
+    assert rep.f1 == 2.0 * prec * recall / (prec + recall)
+    curv = Curvature(-0.14)
+    xb, yb = clip_to_ball(x, curv), clip_to_ball(y, curv)
+    gm = geodesic_distance_matrix(xb, yb, curv)
+    d_xy, d_yx = chamfer_module._hyper_minima(xb, yb, curv)
+    assert np.array_equal(d_xy, gm.min(axis=1)) and np.array_equal(d_yx, gm.min(axis=0))
+    a, b = tmp_path / "x.xyz", tmp_path / "y.xyz"
+    write_xyz(a, cloud(x))
+    write_xyz(b, cloud(y))
+    assert main(["chamfer", str(a), str(b)]) == 0
+    assert json.loads(capsys.readouterr().out)["distance"] == (d_pred.mean() + d_gt.mean())
+    assert main(["metrics", str(a), str(b)]) == 0
+    assert json.loads(capsys.readouterr().out)["acc"] == d_pred.mean()
+
+
+def test_nn_queries_go_through_the_module_index(monkeypatch):
+    # A benchmark tracer subclasses chamfer.NNIndex by name and counts its
+    # queries; every Euclidean query, the tied rows' ball queries included,
+    # must reach it.
+    seen = {"built": 0, "queries": 0}
+
+    class CountingIndex(chamfer_module.NNIndex):
+        def __init__(self, *args, **kwargs):
+            seen["built"] += 1
+            super().__init__(*args, **kwargs)
+
+        def query(self, queries):
+            seen["queries"] += np.atleast_2d(queries).shape[0]
+            return super().query(queries)
+
+    monkeypatch.setattr(chamfer_module, "NNIndex", CountingIndex)
+    x, y = tie_pair("grid", 1.0)
+    x, y = cloud(x), cloud(y[:70])
+    want = chamfer_distance(x, y, "l2", method="brute")
+    assert chamfer_distance(x, y, "l2") == want
+    assert seen == {"built": 2, "queries": 170}
+    evaluate(x, y)
+    assert seen == {"built": 4, "queries": 340}
 
 
 def test_index_rejects_empty():

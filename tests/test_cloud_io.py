@@ -140,6 +140,32 @@ def test_ply_header_errors_report_line(tmp_path, header, line):
     assert err.value.line == line
 
 
+def test_ply_rejects_repeated_element(tmp_path):
+    # Property lists were keyed by element name, so the second declaration
+    # replaced the first one's columns: this file read as [[3, 2, 1], [6, 5, 4]].
+    path = tmp_path / "r.ply"
+    path.write_text("ply\nformat ascii 1.0\n"
+                    "element vertex 1\nproperty float x\nproperty float y\nproperty float z\n"
+                    "element vertex 1\nproperty float z\nproperty float y\nproperty float x\n"
+                    "end_header\n1 2 3\n4 5 6\n")
+    with pytest.raises(CloudParseError, match="declared twice") as err:
+        read_ply(path)
+    assert err.value.line == 7
+
+
+@pytest.mark.parametrize("header, line", [
+    (PLY_BASIC.replace("format ascii 1.0\n", ""), 3),
+    (PLY_BASIC.replace("format ascii 1.0\n", "").replace("end_header", "format ascii 1.0\nend_header"), 3),
+    ("ply\ncomment no elements\nend_header\n", 3),
+], ids=["no-format", "format-after-elements", "no-elements"])
+def test_ply_requires_format_before_elements(tmp_path, header, line):
+    path = tmp_path / "f.ply"
+    path.write_text(header)
+    with pytest.raises(CloudParseError, match="format ascii") as err:
+        read_ply(path)
+    assert err.value.line == line
+
+
 def test_ply_truncated_body_reports_line(tmp_path):
     path = tmp_path / "t.ply"
     path.write_text(PLY_BASIC.replace("0 1 0\n", ""))
