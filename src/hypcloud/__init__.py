@@ -27,7 +27,6 @@ from .losses import (
     grad_check,
     gradient_check_cases,
     loss_gradients,
-    total_loss,
 )
 from .metrics import MetricsReport, evaluate
 from .poincare import (
@@ -36,14 +35,12 @@ from .poincare import (
     NumericalDomainError,
     TangentVector,
     clip_to_ball,
-    conformal_factor,
     geodesic_distance,
     geodesic_distance_matrix,
     hyperbolic_norm,
     hyperbolic_norms,
     log_map_origin,
     mobius_add,
-    project_to_ball,
 )
 from .synthdata import (
     HierarchyManifest,

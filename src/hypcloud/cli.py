@@ -97,7 +97,7 @@ def cmd_delta(args) -> int:
     doc = {"delta": report.delta, "diameter": report.diameter,
            "delta_rel": report.delta_rel, "base_point": report.base_point,
            "batches": report.batches, "samples_per_batch": report.samples_per_batch,
-           "exact": report.exact, "four_point": report.four_point}
+           "exact": report.exact}
     _emit(doc, args.out, _config_dict(args))
     return EXIT_OK
 

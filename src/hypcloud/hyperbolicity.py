@@ -16,9 +16,6 @@ from .poincare import BALL_EPS, Curvature, clip_to_ball, geodesic_distance_matri
 
 METRICS = ("euclidean", "hyperbolic")
 
-# Above this size an exact pass skips the exhaustive all-bases four-point scan.
-FOUR_POINT_LIMIT = 256
-
 
 @dataclass(frozen=True)
 class DistanceMatrix:
@@ -49,8 +46,7 @@ class DistanceMatrix:
 class DeltaReport:
     """Averaged delta estimate; delta_rel is 2*delta/diameter per batch.
 
-    base_point is the input row used as base in the last batch; four_point
-    (all bases) is set only by an exact pass over <= FOUR_POINT_LIMIT rows.
+    base_point is the input row used as base in the last batch.
     """
 
     delta: float
@@ -60,7 +56,6 @@ class DeltaReport:
     batches: int
     samples_per_batch: int
     exact: bool
-    four_point: float | None = None
 
     def __post_init__(self):
         if self.delta < 0 or self.delta_rel < 0:
@@ -178,9 +173,6 @@ def _sampled(n: int, submatrix, batch_size: int, n_batches: int, seed: int) -> D
         deltas.append(delta)
         diams.append(diam)
         rels.append(2.0 * delta / diam if diam > 0 else 0.0)
-    four_point = None
-    if exact and n <= FOUR_POINT_LIMIT:
-        four_point = four_point_delta(sub)
     return DeltaReport(
         delta=float(np.mean(deltas)),
         diameter=float(np.mean(diams)),
@@ -189,7 +181,6 @@ def _sampled(n: int, submatrix, batch_size: int, n_batches: int, seed: int) -> D
         batches=len(picks),
         samples_per_batch=sub.n,
         exact=exact,
-        four_point=four_point,
     )
 
 

@@ -80,13 +80,6 @@ class LossReport:
     total: float
 
 
-def total_loss(l_z: float, l_t: float) -> LossReport:
-    """Compose the loss components into a report."""
-    if l_z < 0 or l_t < 0:
-        raise ValueError("hinge losses cannot be negative")
-    return LossReport(l_z=l_z, l_t=l_t, total=l_z + l_t)
-
-
 # --- batched loss + gradients ----------------------------------------------
 
 
@@ -252,7 +245,7 @@ def row_loss_gradients(
         touched[idx[on3]] = True
 
     grad = clip_vjp(g_emb, theta, curv, eps) + g_theta
-    return grad, touched, gw, gb, total_loss(l_z, l_t)
+    return grad, touched, gw, gb, LossReport(l_z, l_t, l_z + l_t)
 
 
 # --- finite-difference verification ----------------------------------------

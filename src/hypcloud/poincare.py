@@ -59,10 +59,6 @@ class BallPoint:
             )
         object.__setattr__(self, "coords", coords)
 
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
 
 @dataclass(frozen=True)
 class TangentVector:
@@ -109,14 +105,6 @@ def clip_to_ball(x: np.ndarray, curv: Curvature, eps: float = BALL_EPS) -> np.nd
     return out
 
 
-def project_to_ball(x: np.ndarray, curv: Curvature, eps: float = BALL_EPS) -> BallPoint:
-    """Map an arbitrary vector into the ball (identity if already inside)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("project_to_ball expects a single vector")
-    return BallPoint(clip_to_ball(x, curv, eps), curv)
-
-
 def _mobius_raw(z: np.ndarray, x: np.ndarray, c: float) -> np.ndarray:
     zx = float(z @ x)
     z2 = float(z @ z)
@@ -154,12 +142,6 @@ def geodesic_distance(x: BallPoint, y: BallPoint) -> float:
 def hyperbolic_norm(x: BallPoint) -> float:
     """Geodesic distance from the origin; the hierarchy-level scalar."""
     return float(hyperbolic_norms(x.coords, x.curvature))
-
-
-def conformal_factor(z: BallPoint) -> float:
-    """Metric scaling lambda(z) = 2 / (1 - c |z|^2); equals 2 at the origin."""
-    c = z.curvature.c
-    return 2.0 / (1.0 - c * float(z.coords @ z.coords))
 
 
 # --- row kernels -----------------------------------------------------------

@@ -11,14 +11,21 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .cloud import PointCloud, read_xyz, write_xyz
+from .cloud import CloudParseError, PointCloud, read_xyz, write_xyz
 
 ROLES = ("part", "whole")
+
+# What a category cannot hold: a comma or a line break would split or shift
+# its CSV row.  An id cannot hold those either, nor a path separator (it
+# names clouds/{id}.xyz), nor start with "#" (its CSV row would be a comment).
+_UNSAFE_CATEGORY = re.compile(r"[,\n\r]")
+_UNSAFE_ID = re.compile(r"[,\n\r/\\]|^#")
 
 # Component layouts: (kind, params, offset).  Components are ordered so that
 # cumulative prefixes read as a semantic build-up (legs, then support, then
@@ -91,6 +98,10 @@ class HierarchyManifest:
 
     def validate(self):
         ids = [s.id for s in self.samples]
+        for sid in ids:
+            _check_name("sample id", sid, _UNSAFE_ID)
+        for category in (*self.categories, *(s.category for s in self.samples)):
+            _check_name("category", category, _UNSAFE_CATEGORY)
         if len(set(ids)) != len(ids):
             raise ValueError("sample ids must be unique")
         if len(self.categories) < 2:
@@ -128,6 +139,15 @@ class HierarchyManifest:
 
     def wholes(self) -> list[SampleRecord]:
         return [s for s in self.samples if s.role == "whole"]
+
+
+def _check_name(kind: str, name, unsafe: re.Pattern):
+    if not isinstance(name, str):
+        raise ValueError(f"{kind} {name!r} must be a string")
+    bad = unsafe.search(name)
+    if bad:
+        raise ValueError(f"{kind} {name!r} has {bad.group()!r} at index {bad.start()}, "
+                         "which its CSV rows or cloud file cannot carry")
 
 
 def _primitive_area(kind: str, params: tuple[float, ...]) -> float:
@@ -286,16 +306,24 @@ def save_manifest(manifest: HierarchyManifest, out_dir, extra: dict | None = Non
 
 
 def load_manifest(path) -> HierarchyManifest:
-    """Load and re-validate a manifest written by save_manifest."""
+    """Load and re-validate a manifest written by save_manifest.
+
+    A file that is not JSON, or not a manifest's JSON (a key missing, a value
+    of the wrong kind), raises CloudParseError; the line is the JSON error's,
+    or 1.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    base = path.parent
-    samples = []
-    for entry in doc["samples"]:
-        samples.append(SampleRecord(
-            id=entry["id"], category=entry["category"], role=entry["role"],
-            n_points=entry["n_points"], parent_id=entry.get("parent_id"),
-            cloud=read_xyz(base / entry["cloud_path"])))
-    return HierarchyManifest(samples=tuple(samples),
-                             categories=tuple(doc["categories"]), seed=doc["seed"])
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CloudParseError(path, exc.lineno, f"bad manifest JSON: {exc.msg}") from None
+    try:
+        entries = [(dict(id=e["id"], category=e["category"], role=e["role"],
+                         n_points=e["n_points"], parent_id=e.get("parent_id")),
+                    path.parent / e["cloud_path"]) for e in doc["samples"]]
+        categories, seed = tuple(doc["categories"]), doc["seed"]
+    except (KeyError, TypeError) as exc:
+        raise CloudParseError(path, 1, f"not a manifest ({type(exc).__name__}: {exc})") from None
+    samples = [SampleRecord(**fields, cloud=read_xyz(cloud)) for fields, cloud in entries]
+    return HierarchyManifest(samples=tuple(samples), categories=categories, seed=seed)

@@ -20,7 +20,6 @@ from .losses import (
     LossBatch,
     LossReport,
     MarginHead,
-    PairExample,
     TripletExample,
     loss_gradients,
     row_loss_gradients,
@@ -132,11 +131,6 @@ def init_state(manifest: HierarchyManifest, config: TrainConfig) -> EmbeddingSta
 # --- batching ---------------------------------------------------------------
 
 
-def positive_pairs(manifest: HierarchyManifest) -> list[PairExample]:
-    return [PairExample(s.id, s.parent_id, s.n_points)
-            for s in manifest.samples if s.role == "part"]
-
-
 def _padded(lists) -> tuple[np.ndarray, np.ndarray]:
     """The int lists as rows of one zero-padded array, and their lengths."""
     lengths = np.array([len(x) for x in lists], dtype=np.intp)
@@ -147,7 +141,7 @@ def _padded(lists) -> tuple[np.ndarray, np.ndarray]:
 
 class _TripletTables:
     """A manifest as row indices, for rows in the order of `ids` (default: the
-    manifest's).  `pairs` (P, 2) holds (part, whole) in `positive_pairs`
+    manifest's).  `pairs` (P, 2) holds (part, whole) in the manifest's part
     order; row w of `own` the parts of the w-th whole, `n_own[w]` of them;
     row k of `foreign` the parts of every category but the k-th, and
     `category[w]` is the k of whole w.  A uniform pick from a row prefix is a
@@ -181,17 +175,14 @@ class _TripletTables:
         """`draw` for `count` anchors drawn uniformly over the wholes first."""
         return self.draw(rng.integers(len(self.wholes), size=count), rng)
 
-    def examples(self, rows: np.ndarray) -> list[TripletExample]:
-        ids = self.ids
-        return [TripletExample(ids[a], ids[p], ids[n]) for a, p, n in rows.tolist()]
-
 
 def sample_triplets(manifest: HierarchyManifest, count: int,
                     rng: np.random.Generator) -> list[TripletExample]:
     """Anchor wholes uniformly; positives uniformly from the anchor's own
     parts, negatives uniformly from parts of other categories."""
     tables = _TripletTables(manifest)
-    return tables.examples(tables.sample(count, rng))
+    ids, rows = tables.ids, tables.sample(count, rng).tolist()
+    return [TripletExample(ids[a], ids[p], ids[n]) for a, p, n in rows]
 
 
 # --- optimizer --------------------------------------------------------------
@@ -318,11 +309,6 @@ def _evaluation_rows(manifest: HierarchyManifest, tables: _TripletTables, seed: 
     positions = [i for i, w in enumerate(manifest.wholes()) if w.id in held or not held]
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_EVAL_STREAM,)))
     return tables.draw(np.repeat(positions, EVAL_TRIPLETS_PER_ANCHOR), rng)
-
-
-def evaluation_triplets(manifest: HierarchyManifest, seed: int) -> list[TripletExample]:
-    tables = _TripletTables(manifest)
-    return tables.examples(_evaluation_rows(manifest, tables, seed))
 
 
 def evaluate_hierarchy(state: EmbeddingState, manifest: HierarchyManifest) -> dict[str, float]:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hypcloud import Curvature, generate_dataset
+from hypcloud import BallPoint, Curvature, clip_to_ball, generate_dataset
+from hypcloud.poincare import BALL_EPS
 
 
 @pytest.fixture(scope="session")
@@ -19,6 +20,11 @@ def small_manifest():
     """Tiny dataset for fast trainer tests."""
     return generate_dataset(n_categories=2, objects_per_category=3,
                             parts_per_object=3, points_whole=256, seed=5)
+
+
+def project_to_ball(x, curv, eps=BALL_EPS):
+    """A BallPoint at `x`, clipped onto the margin radius if it lies outside."""
+    return BallPoint(clip_to_ball(np.asarray(x, dtype=np.float64), curv, eps), curv)
 
 
 def random_ball_points(rng, n, dim, curv, max_frac=0.95):

@@ -21,9 +21,10 @@ from hypcloud import (
     geodesic_distance,
     geodesic_distance_matrix,
     hyper_chamfer,
-    project_to_ball,
     write_xyz,
 )
+
+from conftest import project_to_ball
 
 
 def cloud(rows):

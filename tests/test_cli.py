@@ -1,13 +1,16 @@
+import html
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 
 import hypcloud
+from hypcloud import svgplot
 from hypcloud import BallPoint, Curvature, PointCloud, clip_to_ball, hyperbolic_norm, write_xyz
 from hypcloud.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
@@ -445,3 +448,74 @@ def test_delta_on_embedding_csv(capsys, tmp_path):
     doc = json.loads(stdout)
     assert doc["samples_per_batch"] == 2 * 3 * 3
     assert doc["delta"] >= 0.0
+
+
+def test_disk_svg_is_well_formed_xml(capsys, tmp_path):
+    # "--" in the out-dir and "&" in a category once made disk.svg unparseable
+    ds = tmp_path / "ds"
+    run(capsys, ["synth", "--out-dir", str(ds), "--categories", "2", "--objects", "2",
+                 "--parts", "2", "--points", "128", "--seed", "3"])
+    manifest = ds / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    rename = {"chair": "tables & desks <2>"}
+    doc["categories"] = [rename.get(c, c) for c in doc["categories"]]
+    for s in doc["samples"]:
+        s["category"] = rename.get(s["category"], s["category"])
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "run--a-"
+    code, _, _ = run(capsys, ["embed", str(manifest), "--out-dir", str(out), "--epochs", "2",
+                              "--dim", "2", "--batch-triplets", "16", "--minibatch", "8"])
+    assert code == EXIT_OK
+    svg = minidom.parse(str(out / "disk.svg"))
+    (comment,) = [n for n in svg.documentElement.childNodes if n.nodeType == n.COMMENT_NODE]
+    csv_config = (out / "loss.csv").read_text().splitlines()[0][len("# "):]
+    assert html.unescape(comment.data.strip()) == csv_config and str(out) in csv_config
+    texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert "tables & desks <2>" in texts
+    titles = [t.firstChild.data for t in svg.getElementsByTagName("title")]
+    assert len(titles) == 12 and all(t.split(" hnorm=")[0] in {s["id"] for s in doc["samples"]}
+                                     for t in titles)
+
+
+def test_disk_svg_escapes_every_text():
+    rows = [{"id": "a<&>--b", "category": "x & y", "role": role, "n_points": 1,
+             "hnorm": 0.5, "x": 0.1, "y": -0.2} for role in ("part", "whole")]
+    for comment in ["--", "---", "a--b-", "-", "&#45; &amp; <!-- -->"]:
+        text = svgplot.disk_svg(rows, comment=comment)
+        doc = minidom.parseString(text)
+        (node,) = [n for n in doc.documentElement.childNodes if n.nodeType == n.COMMENT_NODE]
+        assert html.unescape(node.data[1:-1]) == comment
+        assert [t.firstChild.data for t in doc.getElementsByTagName("title")] == [
+            "a<&>--b hnorm=0.5000"] * 2
+        assert "x & y" in [t.firstChild.data for t in doc.getElementsByTagName("text")]
+
+
+@pytest.mark.parametrize("defect,line", [
+    ("no_samples", 1), ("no_category", 1), ("list", 1), ("entry_not_object", 1),
+    ("bad_line", 4), ("not_json", 1)])
+def test_embed_unparseable_manifest_exits_3(capsys, tmp_path, defect, line):
+    ds = tmp_path / "ds"
+    run(capsys, ["synth", "--out-dir", str(ds), "--categories", "2", "--objects", "1",
+                 "--parts", "2", "--points", "128"])
+    manifest = ds / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    if defect == "no_samples":
+        del doc["samples"]
+    elif defect == "no_category":
+        del doc["samples"][2]["category"]
+    elif defect == "list":
+        doc = doc["samples"]
+    elif defect == "entry_not_object":
+        doc["samples"][0] = "chair-000-part0"
+    text = json.dumps(doc, indent=1)
+    if defect == "bad_line":
+        lines = text.splitlines()
+        text = "\n".join(lines[:3] + ["  !!"] + lines[3:]) + "\n"
+    elif defect == "not_json":
+        text = "samples: []\n"
+    manifest.write_text(text)
+    code, out, err = run(capsys, ["embed", str(manifest), "--out-dir", str(tmp_path / "x"),
+                                  "--epochs", "1"])
+    assert code == EXIT_PARSE
+    assert out == "" and f"{manifest}:{line}:" in err
+    assert not (tmp_path / "x").exists()

@@ -201,8 +201,6 @@ def test_sampled_tree_metric_near_zero():
         report = sampled_delta_matrix(dm, batch_size=16, n_batches=4, seed=seed)
         assert report.delta <= 1e-9
         assert not report.exact
-        # the exhaustive scan runs on an exact pass only
-        assert report.four_point is None
 
 
 def test_sampled_deterministic():
@@ -223,9 +221,7 @@ def test_sampled_fallback_exact():
     assert report.base_point == base
     assert report.delta == gromov_delta(dm, base)
     assert report.delta_rel == pytest.approx(2 * report.delta / dm.d.max())
-    # small sets also report the exhaustive four-point value
-    assert report.four_point is not None
-    assert report.delta <= report.four_point + 1e-15
+    assert report.delta <= four_point_delta(dm)
 
 
 def test_sampled_delta_rel_scale_free():

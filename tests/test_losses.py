@@ -18,12 +18,10 @@ from hypcloud import (
     hyperbolic_norm,
     log_map_origin,
     loss_gradients,
-    project_to_ball,
-    total_loss,
 )
 from hypcloud.losses import row_loss_gradients, sigmoid
 
-from conftest import random_ball_points
+from conftest import project_to_ball, random_ball_points
 
 
 def ball(coords, curv):
@@ -174,13 +172,16 @@ def test_triplet_loss_geodesic_switch(unit_curv):
         one_loss(state, unit_curv, triplet=trip, margin_eps=0.0)
 
 
-def test_total_loss_examples():
-    assert total_loss(0.0, 0.0).total == 0.0
-    assert total_loss(0.5, 2.0).total == 2.5
-    report = total_loss(0.5, 1.25)
-    assert report.total == report.l_z + report.l_t == 1.75
-    with pytest.raises(ValueError):
-        total_loss(-0.1, 0.0)
+def test_total_loss_examples(unit_curv):
+    # the report's total is l_z + l_t exactly: both hinges active, one, or neither
+    state = line_state(p=with_hnorm(1.0), w=with_hnorm(0.5), n=-with_hnorm(2.0))
+    active, idle = PairExample("p", "w", 1), PairExample("w", "n", 1)
+    trip = TripletExample("w", "p", "n")  # tangent d_pos 0.25, d_neg 1.25
+    for pair, margin_eps, want in [(active, 2.0, (1.0, 1.0)), (active, 0.25, (1.0, 0.0)),
+                                   (idle, 0.25, (0.0, 0.0))]:
+        report = one_loss(state, unit_curv, pair=pair, triplet=trip, margin_eps=margin_eps)
+        assert report.total == report.l_z + report.l_t
+        assert (report.l_z, report.l_t) == pytest.approx(want, abs=1e-12)
 
 
 # --- batched gradients -------------------------------------------------------

@@ -10,14 +10,12 @@ from hypcloud import (
     Curvature,
     NumericalDomainError,
     clip_to_ball,
-    conformal_factor,
     geodesic_distance,
     geodesic_distance_matrix,
     hyperbolic_norm,
     hyperbolic_norms,
     log_map_origin,
     mobius_add,
-    project_to_ball,
 )
 from hypcloud.poincare import (
     clip_vjp,
@@ -28,7 +26,7 @@ from hypcloud.poincare import (
     log_map_origin_vjp,
 )
 
-from conftest import random_ball_points
+from conftest import project_to_ball, random_ball_points
 
 
 def ball(coords, curv):
@@ -167,9 +165,13 @@ def test_hyperbolic_norm_monotone(unit_curv):
 
 
 def test_conformal_factor(unit_curv):
-    assert conformal_factor(ball([0.0, 0.0], unit_curv)) == 2.0
-    assert conformal_factor(ball([0.5, 0.0], unit_curv)) == pytest.approx(8.0 / 3.0, rel=1e-14)
-    assert conformal_factor(ball([0.5, 0.0], Curvature(-1e-9))) == pytest.approx(2.0, rel=1e-8)
+    # the norm gradient has the conformal factor 2 / (1 - c|x|^2) as its length
+    def factor(x, curv):
+        return float(np.linalg.norm(hyperbolic_norm_grad(np.asarray(x), curv)))
+
+    assert factor([2.0 ** -500, 0.0], unit_curv) == 2.0
+    assert factor([0.5, 0.0], unit_curv) == pytest.approx(8.0 / 3.0, rel=1e-14)
+    assert factor([0.5, 0.0], Curvature(-1e-9)) == pytest.approx(2.0, rel=1e-8)
 
 
 @settings(max_examples=50, deadline=None)

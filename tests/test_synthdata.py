@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -153,3 +154,40 @@ def test_manifest_invariant_checks(small_manifest):
     with pytest.raises(ValueError, match="no parts"):
         HierarchyManifest(samples=tuple(s for s in samples if s.parent_id != whole.id),
                           categories=small_manifest.categories, seed=0)
+
+
+@pytest.mark.parametrize("sample_id", ["chair-000,x", "chair\n000", "chair\r000", "#chair-000",
+                                       "chairs/000", "chairs\\000", 7])
+def test_manifest_rejects_unsafe_ids(small_manifest, sample_id):
+    # a comma or a line break shifts the CSV rows, a leading "#" makes the
+    # row a comment, and a path separator escapes clouds/{id}.xyz
+    samples = list(small_manifest.samples)
+    i = next(i for i, s in enumerate(samples) if s.role == "part")
+    samples[i] = dataclasses.replace(samples[i], id=sample_id)
+    with pytest.raises(ValueError, match="sample id"):
+        HierarchyManifest(samples=samples, categories=small_manifest.categories, seed=0)
+
+
+@pytest.mark.parametrize("category", ["tables, desks", "tables\ndesks", "tables\rdesks"])
+def test_manifest_rejects_unsafe_categories(small_manifest, category):
+    old = small_manifest.categories[0]
+    samples = [dataclasses.replace(s, category=category) if s.category == old else s
+               for s in small_manifest.samples]
+    with pytest.raises(ValueError, match="category"):
+        HierarchyManifest(samples=samples, categories=small_manifest.categories, seed=0)
+    with pytest.raises(ValueError, match="category"):  # declared only
+        HierarchyManifest(samples=small_manifest.samples,
+                          categories=(*small_manifest.categories, category), seed=0)
+
+
+def test_manifest_keeps_safe_punctuation(tmp_path, small_manifest):
+    # "#" past the first character, "&" and spaces are safe in CSV rows
+    # and file names, and survive a save and load
+    rename = {s.id: f"{s.id} #1 & co" for s in small_manifest.samples}
+    samples = [dataclasses.replace(s, id=rename[s.id], category=f"{s.category} & co",
+                                   parent_id=rename.get(s.parent_id)) for s in small_manifest.samples]
+    manifest = HierarchyManifest(samples=samples, seed=0,
+                                 categories=tuple(f"{c} & co" for c in small_manifest.categories))
+    back = load_manifest(save_manifest(manifest, tmp_path / "ds"))
+    assert [(s.id, s.category, s.parent_id) for s in back.samples] == [
+        (s.id, s.category, s.parent_id) for s in manifest.samples]

@@ -21,18 +21,42 @@ from hypcloud import (
     train,
 )
 from hypcloud.cloud import PointCloud
-from hypcloud.losses import TripletExample
+from hypcloud.losses import PairExample, TripletExample
 from hypcloud.synthdata import HierarchyManifest, SampleRecord
 from hypcloud.train import (
+    _EVAL_STREAM,
+    EVAL_TRIPLETS_PER_ANCHOR,
     AdamOptimizer,
-    evaluation_triplets,
     holdout_anchor_ids,
-    positive_pairs,
     sample_triplets,
     train_step,
 )
 
 FAST = dataclasses.replace(TrainConfig(), epochs=6, batch_triplets=48, dim=4, minibatch=16)
+
+
+def positive_pairs(manifest):
+    """Every (part, whole) pair of the manifest, in sample order."""
+    return [PairExample(s.id, s.parent_id, s.n_points)
+            for s in manifest.samples if s.role == "part"]
+
+
+def evaluation_triplets(manifest, seed):
+    """The held-out evaluation triplets in plain loops, the reference for the
+    trainer's array draw: EVAL_TRIPLETS_PER_ANCHOR per held-out whole (every
+    whole if none is held out), all positives uniform over the anchor's own
+    parts, then all negatives uniform over other categories' parts."""
+    held = set(holdout_anchor_ids(manifest, seed))
+    anchors = [w for w in manifest.wholes() if w.id in held or not held
+               for _ in range(EVAL_TRIPLETS_PER_ANCHOR)]
+    own = manifest.parts_by_whole()
+    foreign = {c: [s for s in manifest.samples if s.role == "part" and s.category != c]
+               for c in manifest.categories}
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(_EVAL_STREAM,)))
+    pos = [own[w.id][k] for w, k in zip(anchors, rng.integers([len(own[w.id]) for w in anchors]))]
+    neg = [foreign[w.category][k] for w, k in
+           zip(anchors, rng.integers([len(foreign[w.category]) for w in anchors]))]
+    return [TripletExample(w.id, p.id, n.id) for w, p, n in zip(anchors, pos, neg)]
 
 
 def test_config_validation():
