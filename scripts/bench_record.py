@@ -13,12 +13,20 @@ per-side medians and quartiles per workload and metric (traced runs under
 "<workload>-trace"), the pairs each side won (by the metric's direction in
 BENCHMARK.json), the seeds, both git SHAs, the machine, and the Python and
 numpy versions.
+
+Each metric also gets the per-pair ratio child/parent ("ratio"): its values
+(null where the parent is 0, since the ratio is then undefined), the median
+and quartiles of the defined ones, the count of pairs below 1, and the exact
+two-sided sign-test p-value of that count (pairs at exactly 1 carry no sign).
+Each ratio compares runs on the same seed, so the input's effect on the time,
+which widens the per-side quartiles, largely cancels in it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -63,8 +71,20 @@ def _spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "values": values}
 
 
+def _ratios(parent: list[float], child: list[float]) -> dict:
+    values = [c / p if p else None for p, c in zip(parent, child)]
+    defined = [r for r in values if r is not None]
+    below = sum(r < 1 for r in defined)
+    signed = below + sum(r > 1 for r in defined)
+    tail = sum(math.comb(signed, k) for k in range(min(below, signed - below) + 1))
+    spread = _spread(defined) if defined else {"median": None, "q1": None, "q3": None}
+    return {**spread, "values": values, "below_1": below,
+            "sign_test_p": min(1.0, 2 * tail / 2 ** signed)}
+
+
 def summarize(parent: list[dict], child: list[dict], better: dict[str, str]) -> dict:
-    """Per workload and metric: each side's spread and the pairs each side won."""
+    """Per workload and metric: each side's spread, the pairs each side won,
+    and the per-pair ratio child/parent."""
     summary: dict = {}
     for p, c in zip(parent, child):
         key = (p["workload"], p["seed"], p["trace"])
@@ -83,6 +103,7 @@ def summarize(parent: list[dict], child: list[dict], better: dict[str, str]) -> 
             entry["child_wins" if diff > 0 else "parent_wins" if diff < 0 else "ties"] += 1
     for workload in summary.values():
         for entry in workload.values():
+            entry["ratio"] = _ratios(entry["parent"], entry["child"])
             entry["parent"] = _spread(entry["parent"])
             entry["child"] = _spread(entry["child"])
     return summary

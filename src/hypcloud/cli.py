@@ -10,14 +10,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
-
 
 from . import hyperbolicity, losses, metrics, svgplot, synthdata
 from .train import DivergenceError, TrainConfig, evaluate_hierarchy, export_disk, init_state
 from .train import train as train_embeddings
 from .chamfer import chamfer_distance, hyper_chamfer
-from .cloud import CloudParseError, _read_embedding_csv, _read_matrix, read_cloud
+from .cloud import CloudParseError, _open_text, _read_embedding_csv, _read_matrix, read_cloud
 from .poincare import Curvature, NumericalDomainError, clip_to_ball, hyperbolic_norms
 
 EXIT_OK = 0
@@ -32,54 +32,34 @@ class UsageError(ValueError):
     """Bad flag combination detected after parsing."""
 
 
-def _emit(doc: dict, out_path: str | None, config: dict):
-    """Print a JSON result line; optionally write it (with the effective
-    config embedded) to a file."""
-    print(json.dumps(doc, sort_keys=True))
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            json.dump({**doc, "config": config}, fh, sort_keys=True, indent=1)
-            fh.write("\n")
-
-
 def _config_dict(args: argparse.Namespace) -> dict:
     skip = {"func", "config"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-# --- subcommand handlers -----------------------------------------------------
+# --- subcommand handlers: each returns its result document --------------------
 
 
-def cmd_chamfer(args) -> int:
+def cmd_chamfer(args) -> dict:
     pred = read_cloud(args.pred)
     gt = read_cloud(args.gt)
-    dist = chamfer_distance(pred, gt, args.variant, method=args.method)
-    _emit({"variant": args.variant, "distance": dist,
-           "n_pred": len(pred), "n_gt": len(gt)}, args.out, _config_dict(args))
-    return EXIT_OK
+    return {"variant": args.variant, "distance": chamfer_distance(pred, gt, args.variant),
+            "n_pred": len(pred), "n_gt": len(gt)}
 
 
-def cmd_hypercd(args) -> int:
+def cmd_hypercd(args) -> dict:
     pred = read_cloud(args.pred)
     gt = read_cloud(args.gt)
-    curv = Curvature(args.k)
-    dist = hyper_chamfer(pred, gt, curv, args.eps)
-    _emit({"variant": "hypercd", "distance": dist, "k": args.k,
-           "n_pred": len(pred), "n_gt": len(gt)}, args.out, _config_dict(args))
-    return EXIT_OK
+    dist = hyper_chamfer(pred, gt, Curvature(args.k), args.eps)
+    return {"variant": "hypercd", "distance": dist, "k": args.k,
+            "n_pred": len(pred), "n_gt": len(gt)}
 
 
-def cmd_metrics(args) -> int:
-    pred = read_cloud(args.pred)
-    gt = read_cloud(args.gt)
-    report = metrics.evaluate(pred, gt, args.threshold)
-    _emit({"acc": report.acc, "comp": report.comp, "cd": report.cd,
-           "prec": report.prec, "recall": report.recall, "f1": report.f1,
-           "threshold": report.threshold}, args.out, _config_dict(args))
-    return EXIT_OK
+def cmd_metrics(args) -> dict:
+    return asdict(metrics.evaluate(read_cloud(args.pred), read_cloud(args.gt), args.threshold))
 
 
-def cmd_delta(args) -> int:
+def cmd_delta(args) -> dict:
     if args.metric == "precomputed":
         data = _read_matrix(args.input)
     elif args.input.endswith(".csv"):
@@ -94,33 +74,28 @@ def cmd_delta(args) -> int:
     else:
         curv = Curvature(args.k) if args.metric == "hyperbolic" else None
         report = hyperbolicity.sampled_delta(data, args.metric, curv=curv, eps=args.eps, **batches)
-    doc = {"delta": report.delta, "diameter": report.diameter,
-           "delta_rel": report.delta_rel, "base_point": report.base_point,
-           "batches": report.batches, "samples_per_batch": report.samples_per_batch,
-           "exact": report.exact}
-    _emit(doc, args.out, _config_dict(args))
-    return EXIT_OK
+    return asdict(report)
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> dict:
     manifest = synthdata.generate_dataset(
         n_categories=args.categories, objects_per_category=args.objects,
         parts_per_object=args.parts, points_whole=args.points, seed=args.seed)
     path = synthdata.save_manifest(manifest, args.out_dir, extra={"config": _config_dict(args)})
-    print(json.dumps({"manifest": str(path), "n_samples": len(manifest.samples),
-                      "categories": list(manifest.categories)}, sort_keys=True))
-    return EXIT_OK
+    return {"manifest": str(path), "n_samples": len(manifest.samples),
+            "categories": list(manifest.categories)}
 
 
-def _write_csv(path, header: str, rows: list[str], config: dict):
+def _write_csv(path, rows, config: dict):
+    """A `# config:` comment line, then one line per row (the first is the
+    header): numbers are written with repr, text as is."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# config: {json.dumps(config, sort_keys=True)}\n")
-        fh.write(header + "\n")
         for row in rows:
-            fh.write(row + "\n")
+            fh.write(",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n")
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> dict:
     manifest = synthdata.load_manifest(args.manifest)
     config = TrainConfig(
         epochs=args.epochs, batch_triplets=args.batch_triplets,
@@ -138,41 +113,32 @@ def cmd_embed(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cfg = _config_dict(args)
-    _write_csv(out_dir / "loss.csv", "epoch,l_z,l_t,total",
-               [f"{i},{r.l_z!r},{r.l_t!r},{r.total!r}" for i, r in enumerate(curve)],
-               cfg)
-    emb_header = "id,category,role,n_points,hnorm," + ",".join(f"c{i}" for i in range(config.dim))
+    _write_csv(out_dir / "loss.csv", [("epoch", "l_z", "l_t", "total")]
+               + [(i, r.l_z, r.l_t, r.total) for i, r in enumerate(curve)], cfg)
     rows = state.table.rows  # in manifest order
     norms = hyperbolic_norms(clip_to_ball(rows, state.curvature, state.eps), state.curvature)
-    emb_rows = [f"{s.id},{s.category},{s.role},{s.n_points},{norm!r}," + ",".join(map(repr, row))
-                for s, row, norm in zip(manifest.samples, rows.tolist(), norms.tolist())]
-    _write_csv(out_dir / "embeddings.csv", emb_header, emb_rows, cfg)
+    _write_csv(out_dir / "embeddings.csv",
+               [("id", "category", "role", "n_points", "hnorm",
+                 *(f"c{i}" for i in range(config.dim)))]
+               + [(s.id, s.category, s.role, s.n_points, norm, *row)
+                  for s, row, norm in zip(manifest.samples, rows.tolist(), norms.tolist())], cfg)
     if config.dim == 2:
-        rows = export_disk(state, manifest)
-        _write_csv(out_dir / "disk.csv", "id,category,role,n_points,hnorm,x,y",
-                   [f"{r['id']},{r['category']},{r['role']},{r['n_points']},"
-                    f"{r['hnorm']!r},{r['x']!r},{r['y']!r}" for r in rows], cfg)
-        svg = svgplot.disk_svg(rows, comment=f"config: {json.dumps(cfg, sort_keys=True)}")
+        columns = ("id", "category", "role", "n_points", "hnorm", "x", "y")
+        disk = export_disk(state, manifest)
+        _write_csv(out_dir / "disk.csv", [columns] + [[r[c] for c in columns] for r in disk], cfg)
+        svg = svgplot.disk_svg(disk, comment=f"config: {json.dumps(cfg, sort_keys=True)}")
         (out_dir / "disk.svg").write_text(svg, encoding="utf-8")
-    print(json.dumps({k: summary[k] for k in sorted(summary)}, sort_keys=True))
-    return EXIT_OK
+    return summary
 
 
-def cmd_gradcheck(args) -> int:
-    results = losses.gradient_check_cases(
-        args.seed, args.n_cases, h=args.h, flip_sign=args.inject_sign_flip)
+def cmd_gradcheck(args) -> dict:
+    results = losses.gradient_check_cases(args.seed, args.n_cases, h=args.h)
     worst_kind, worst = max(results, key=lambda item: item[1])
     by_kind: dict[str, float] = {}
     for kind, err in results:
         by_kind[kind] = max(by_kind.get(kind, 0.0), err)
-    print(json.dumps({"n_cases": args.n_cases, "max_rel_error": worst,
-                      "worst_case": worst_kind, "by_kind": by_kind,
-                      "tolerance": GRADCHECK_TOLERANCE}, sort_keys=True))
-    if worst > GRADCHECK_TOLERANCE:
-        print(f"gradcheck FAILED: {worst_kind} max relative error {worst:.3e} "
-              f"> {GRADCHECK_TOLERANCE}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    return EXIT_OK
+    return {"n_cases": args.n_cases, "max_rel_error": worst, "worst_case": worst_kind,
+            "by_kind": by_kind, "tolerance": GRADCHECK_TOLERANCE}
 
 
 # --- parser -----------------------------------------------------------------
@@ -201,7 +167,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("pred")
     p.add_argument("gt")
     p.add_argument("--variant", choices=["l1", "l2"], default="l1")
-    p.add_argument("--method", choices=["kdtree", "brute"], default="kdtree")
     common(p, k_flag=False)
     p.set_defaults(func=cmd_chamfer)
 
@@ -259,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-cases", type=int, default=100)
     p.add_argument("--h", type=float, default=1e-6)
-    p.add_argument("--inject-sign-flip", action="store_true",
-                   help="self-test hook: corrupt one gradient coordinate per case")
     common(p, k_flag=False)
     p.set_defaults(func=cmd_gradcheck)
 
@@ -280,7 +243,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
     if path is None:
         return
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             values = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CloudParseError(path, 1, f"bad config file: {exc}") from None
@@ -300,10 +263,7 @@ def _config_value(path, key: str, value, action: argparse.Action):
     """A config file value, converted and checked as the flag's own text is."""
     if value is None and action.default is None:
         return None
-    if action.nargs == 0:  # store_true: the file must say true or false
-        if isinstance(value, bool):
-            return value
-    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+    if isinstance(value, (str, int, float)) and not isinstance(value, bool):
         try:
             value = (action.type or str)(str(value))
         except ValueError:
@@ -326,7 +286,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        return args.func(args)
+        doc = args.func(args)
+        print(json.dumps(doc, sort_keys=True))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump({**doc, "config": _config_dict(args)}, fh, sort_keys=True, indent=1)
+                fh.write("\n")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -342,3 +307,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.command == "gradcheck" and doc["max_rel_error"] > doc["tolerance"]:
+        print(f"gradcheck FAILED: {doc['worst_case']} max relative error "
+              f"{doc['max_rel_error']:.3e} > {doc['tolerance']}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    return EXIT_OK

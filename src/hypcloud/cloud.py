@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -72,6 +73,29 @@ def _float_rows(path, rows, cols, width: int, what: str) -> np.ndarray:
     return values.reshape(len(lines), len(cols))
 
 
+@contextmanager
+def _open_text(path):
+    """Open a UTF-8 text input for reading.
+
+    A byte sequence that is not UTF-8 raises CloudParseError at the first line
+    that holds one.  Line breaks are ASCII and never part of a multi-byte
+    character, so the raw bytes split into the same lines as the text does.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:
+                lines = raw.read().splitlines()
+            for line, data in enumerate(lines, start=1):
+                try:
+                    data.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise CloudParseError(path, line, f"not UTF-8 text: byte {exc.start + 1} "
+                                                      f"of the line ({exc.reason})") from None
+            raise
+
+
 def _text_rows(fh):
     """`(line number, fields)` of each whitespace-separated row; '#' starts a comment."""
     for line, raw in enumerate(fh, start=1):
@@ -82,7 +106,7 @@ def _text_rows(fh):
 
 def read_xyz(path) -> PointCloud:
     """Read an ASCII XYZ file: one 'x y z' triple per line, '#' comments."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         points = _float_rows(path, _text_rows(fh), (0, 1, 2), 3, "coordinate")
     if not len(points):
         raise CloudParseError(path, 1, "file contains no points")
@@ -103,7 +127,7 @@ def read_ply(path) -> PointCloud:
     accepted, and each element name may be declared once.  Non-vertex
     elements and extra vertex properties are skipped with a warning.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0].strip() != "ply":
         raise CloudParseError(path, 1, "not a PLY file (missing 'ply' magic)")
@@ -184,7 +208,7 @@ def read_cloud(path) -> PointCloud:
 
 def _read_matrix(path) -> np.ndarray:
     """A square whitespace-separated distance matrix, '#' comments allowed."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         rows = list(_text_rows(fh))  # every field is kept, so streaming saves nothing
     matrix = _float_rows(path, rows, range(len(rows)), len(rows), "matrix entry")
     for line, fields in rows:
@@ -196,7 +220,7 @@ def _read_matrix(path) -> np.ndarray:
 
 def _read_embedding_csv(path) -> np.ndarray:
     """Coordinate columns (c0..) of an embedding CSV written by `hypcloud embed`."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         rows = ((line, raw.rstrip("\n").split(",")) for line, raw in enumerate(fh, start=1)
                 if raw != "\n" and not raw.startswith("#"))
         line, header = next(rows, (1, []))

@@ -284,20 +284,12 @@ _TRIPLET, _NO_TRIPLETS = np.array([[0, 1, 2]]), np.empty((0, 3), dtype=np.intp)
 _NO_SIZES = np.empty(0)
 
 
-def gradient_check_cases(
-    seed: int,
-    n_cases: int,
-    h: float = 1e-6,
-    *,
-    flip_sign: bool = False,
-) -> list[tuple[str, float]]:
+def gradient_check_cases(seed: int, n_cases: int, h: float = 1e-6) -> list[tuple[str, float]]:
     """Finite-difference checks over seeded hinge-active configurations.
 
     Cycles through a geodesic pair, a regularizer pair, and a triplet.  Kinks
     are excluded by construction: margins are chosen so the hinge argument
-    stays at least 1e-3 from zero.  `flip_sign` negates one analytic
-    coordinate per case; it exists so the harness can prove it would catch a
-    wrong gradient.
+    stays at least 1e-3 from zero.
     """
     if n_cases < 1:
         raise ValueError("n_cases must be >= 1")
@@ -350,8 +342,5 @@ def gradient_check_cases(
             point = theta.ravel()
             analytic = row_loss_gradients(theta, head, _NO_PAIRS, _NO_SIZES, _TRIPLET, curv,
                                           margin_eps=margin)[0].ravel()
-        if flip_sign:
-            analytic = analytic.copy()
-            analytic[0] = -analytic[0] - 1.0
         results.append((kind, grad_check(fn, analytic, point, h)))
     return results

@@ -17,15 +17,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .cloud import CloudParseError, PointCloud, read_xyz, write_xyz
+from .cloud import CloudParseError, PointCloud, _open_text, read_xyz, write_xyz
 
 ROLES = ("part", "whole")
 
 # What a category cannot hold: a comma or a line break would split or shift
-# its CSV row.  An id cannot hold those either, nor a path separator (it
-# names clouds/{id}.xyz), nor start with "#" (its CSV row would be a comment).
-_UNSAFE_CATEGORY = re.compile(r"[,\n\r]")
-_UNSAFE_ID = re.compile(r"[,\n\r/\\]|^#")
+# its CSV row, and a character that XML 1.0 forbids (a control character
+# other than tab, a surrogate, U+FFFE or U+FFFF) would break disk.svg.  An id
+# cannot hold those either, nor a path separator (it names clouds/{id}.xyz),
+# nor start with "#" (its CSV row would be a comment).
+_UNSAFE_CATEGORY = re.compile(r"[,\x00-\x08\x0a-\x1f\ud800-\udfff\ufffe\uffff]")
+_UNSAFE_ID = re.compile(r"[,/\\\x00-\x08\x0a-\x1f\ud800-\udfff\ufffe\uffff]|^#")
 
 # Component layouts: (kind, params, offset).  Components are ordered so that
 # cumulative prefixes read as a semantic build-up (legs, then support, then
@@ -147,7 +149,7 @@ def _check_name(kind: str, name, unsafe: re.Pattern):
     bad = unsafe.search(name)
     if bad:
         raise ValueError(f"{kind} {name!r} has {bad.group()!r} at index {bad.start()}, "
-                         "which its CSV rows or cloud file cannot carry")
+                         "which its CSV rows, cloud file or disk.svg cannot carry")
 
 
 def _primitive_area(kind: str, params: tuple[float, ...]) -> float:
@@ -313,7 +315,7 @@ def load_manifest(path) -> HierarchyManifest:
     or 1.
     """
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hypcloud
-from hypcloud import svgplot
+from hypcloud import cli, losses, svgplot
 from hypcloud import BallPoint, Curvature, PointCloud, clip_to_ball, hyperbolic_norm, write_xyz
 from hypcloud.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE, main
 
@@ -332,10 +332,13 @@ def test_gradcheck_passes(capsys):
     assert doc["max_rel_error"] < 1e-5
 
 
-def test_gradcheck_sign_flip_fails(capsys):
-    code, _, err = run(capsys, ["gradcheck", "--n-cases", "3", "--inject-sign-flip"])
+def test_gradcheck_sign_flip_fails(capsys, monkeypatch):
+    grad = losses.geodesic_distance_grad
+    monkeypatch.setattr(losses, "geodesic_distance_grad", lambda *a: tuple(-g for g in grad(*a)))
+    code, out, err = run(capsys, ["gradcheck", "--n-cases", "3"])
     assert code == EXIT_NUMERICAL
-    assert "FAILED" in err
+    assert json.loads(out)["worst_case"] == "geodesic"
+    assert err.startswith("gradcheck FAILED: geodesic")
 
 
 def test_gradcheck_zero_cases_usage_error(capsys):
@@ -351,11 +354,11 @@ def test_unknown_command_usage(capsys):
 def test_config_file_defaults_and_flag_override(capsys, tmp_path, clouds):
     a, b = clouds
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"variant": "l2", "method": "brute"}))
+    cfg.write_text(json.dumps({"variant": "l2"}))
     target = tmp_path / "result.json"
     _, out_cfg, _ = run(capsys, ["chamfer", a, b, "--config", str(cfg), "--out", str(target)])
     assert json.loads(out_cfg)["variant"] == "l2"
-    assert json.loads(target.read_text())["config"]["method"] == "brute"
+    assert json.loads(target.read_text())["config"]["variant"] == "l2"
     _, out_flag, _ = run(capsys, ["chamfer", a, b, "--config", str(cfg), "--variant", "l1"])
     assert json.loads(out_flag)["variant"] == "l1"
 
@@ -397,7 +400,7 @@ def test_config_keys_of_other_subcommands(capsys, tmp_path, clouds):
 @pytest.mark.parametrize("values", [
     {"n_cases": 2.5},            # not an int: gradcheck died in range()
     {"seed": "three"},
-    {"inject_sign_flip": 1},     # a store_true flag takes true or false only
+    {"seed": True},              # a JSON boolean is no integer
     {"reg_space": "spherical"},  # not one of the flag's choices
     {"variant": 2},
 ])
@@ -421,9 +424,12 @@ def test_config_file_values_convert_like_flags(capsys, tmp_path, clouds):
 
 
 def test_threads_flag_is_gone(capsys, clouds):
-    code, _, err = run(capsys, ["chamfer", *clouds, "--threads", "2"])
-    assert code == EXIT_USAGE
-    assert "--threads" in err
+    # so are the flags that only tests used
+    for argv in (["chamfer", *clouds, "--threads", "2"], ["chamfer", *clouds, "--method", "brute"],
+                 ["gradcheck", "--inject-sign-flip"]):
+        code, _, err = run(capsys, argv)
+        assert code == EXIT_USAGE
+        assert next(a for a in argv if a.startswith("--")) in err
 
 
 def test_out_file_embeds_config(capsys, clouds, tmp_path):
@@ -433,6 +439,57 @@ def test_out_file_embeds_config(capsys, clouds, tmp_path):
     assert code == EXIT_OK
     doc = json.loads(target.read_text())
     assert "config" in doc and doc["config"]["variant"] == "l1"
+
+
+@pytest.mark.parametrize("command", ["chamfer", "hypercd", "metrics", "delta", "synth", "embed",
+                                     "gradcheck"])
+def test_out_file_is_the_result_plus_config(capsys, clouds, tmp_path, command):
+    # synth, embed and gradcheck once printed their result and ignored --out
+    ds = tmp_path / "ds"
+    synth = ["synth", "--out-dir", str(ds), "--categories", "2", "--objects", "2",
+             "--parts", "2", "--points", "128"]
+    if command == "embed":
+        run(capsys, synth)
+    argv = {"delta": ["delta", clouds[0]], "synth": synth,
+            "gradcheck": ["gradcheck", "--n-cases", "3"],
+            "embed": ["embed", str(ds / "manifest.json"), "--out-dir", str(tmp_path / "run"),
+                      "--epochs", "1", "--dim", "2", "--batch-triplets", "8", "--minibatch", "4"],
+            }.get(command, [command, *clouds])
+    target = tmp_path / "result.json"
+    code, out, _ = run(capsys, [*argv, "--out", str(target)])
+    assert code == EXIT_OK
+    doc = json.loads(target.read_text())
+    config = doc.pop("config")
+    assert doc == json.loads(out)
+    assert config["command"] == command and config["out"] == str(target)
+
+
+def test_failing_gradcheck_still_writes_out(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(cli, "GRADCHECK_TOLERANCE", 0.0)
+    target = tmp_path / "result.json"
+    code, out, err = run(capsys, ["gradcheck", "--n-cases", "3", "--out", str(target)])
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("gradcheck FAILED: ") and err.endswith(" > 0.0\n")
+    doc = json.loads(target.read_text())
+    assert doc.pop("config")["n_cases"] == 3
+    assert doc == json.loads(out) and doc["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("name,text,argv", [
+    ("bad.xyz", b"0 0 0\n1 \xff 0\n0 1 0\n", ["chamfer", "{path}", "{path}"]),
+    ("bad.xyz", b"0 0 0\n1 \xff 0\n0 1 0\n0 0 1\n", ["delta", "{path}"]),
+    ("bad.json", b'{"seed": 0,\n "categories": ["\xff"], "samples": []}\n',
+     ["embed", "{path}", "--out-dir", "{path}-run"]),
+    ("bad.json", b'{"seed": 0,\n "h": "\xff"}\n', ["gradcheck", "--config", "{path}"]),
+], ids=["chamfer", "delta", "embed", "config"])
+def test_non_utf8_input_exits_3_with_line(capsys, tmp_path, name, text, argv):
+    # chamfer, delta and embed exited 2 with no line; a --config file crashed
+    path = tmp_path / name
+    path.write_bytes(text)
+    code, out, err = run(capsys, [a.format(path=path) for a in argv])
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert f"{path}:2: not UTF-8" in err
 
 
 def test_delta_on_embedding_csv(capsys, tmp_path):

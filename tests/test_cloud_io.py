@@ -201,6 +201,25 @@ def test_every_reader_reports_line(tmp_path, fmt, kind, message):
     assert str(err.value).startswith(f"{path}:{line}: ")
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("fmt", sorted(READER_CASES))
+def test_every_reader_reports_non_utf8_line(tmp_path, fmt, newline):
+    """A byte that is not UTF-8 is a parse error at its line; CRLF reads as LF does."""
+    reader, template, row, _, line = READER_CASES[fmt]
+    text = template.format(row=row.format(token="X")).replace("\n", newline).encode()
+    paths = {name: tmp_path / f"{name}.{fmt}" for name in ("lf", "good", "bad")}
+    paths["lf"].write_bytes(text.replace(b"X", b"5").replace(b"\r\n", b"\n"))
+    paths["good"].write_bytes(text.replace(b"X", b"5"))
+    paths["bad"].write_bytes(text.replace(b"X", b"\xff"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lf, good = (getattr(v, "points", v) for v in map(reader, (paths["lf"], paths["good"])))
+        assert np.array_equal(lf, good)
+        with pytest.raises(CloudParseError, match="not UTF-8") as err:
+            reader(paths["bad"])
+    assert str(err.value).startswith(f"{paths['bad']}:{line}: ")
+
+
 @pytest.mark.parametrize("row, message", [("4 five 6", "bad"), ("4 5", "expected"),
                                           ("4 nan 6", "non-finite")])
 @pytest.mark.parametrize("at", [1024, 1025, 1500])
@@ -213,6 +232,16 @@ def test_errors_past_the_first_block_report_line(tmp_path, row, message, at):
     with pytest.raises(CloudParseError, match=message) as err:
         read_xyz(path)
     assert err.value.line == at
+
+
+def test_non_utf8_past_the_first_read_reports_line(tmp_path):
+    lines = [b"1 2 3"] * 20000
+    lines[15000] = b"4 \xff 6"
+    path = tmp_path / "big.xyz"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(CloudParseError, match="not UTF-8") as err:
+        read_xyz(path)
+    assert err.value.line == 15001
 
 
 def test_readers_agree_bit_for_bit(tmp_path):

@@ -19,6 +19,7 @@ from hypcloud import (
     log_map_origin,
     loss_gradients,
 )
+from hypcloud import losses
 from hypcloud.losses import row_loss_gradients, sigmoid
 
 from conftest import project_to_ball, random_ball_points
@@ -346,9 +347,11 @@ def test_loss_gradients_fd_hundred_cases():
     assert kinds == {"geodesic", "reg_pair", "triplet"}
 
 
-def test_gradient_harness_catches_flipped_sign():
-    results = gradient_check_cases(seed=0, n_cases=6, flip_sign=True)
-    assert max(err for _, err in results) > 1e-4
+def test_gradient_harness_catches_flipped_sign(monkeypatch):
+    grad = losses.geodesic_distance_grad
+    monkeypatch.setattr(losses, "geodesic_distance_grad", lambda *a: tuple(-g for g in grad(*a)))
+    results = gradient_check_cases(seed=0, n_cases=6)
+    assert max(err for kind, err in results if kind == "geodesic") > 1e-4
 
 
 # --- grad_check --------------------------------------------------------------

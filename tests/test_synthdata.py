@@ -1,11 +1,13 @@
 import dataclasses
 import itertools
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 
-from hypcloud import chamfer_distance, generate_dataset, load_manifest, sample_primitive, save_manifest
-from hypcloud.synthdata import CATEGORY_TEMPLATES, HierarchyManifest
+from hypcloud import (CloudParseError, chamfer_distance, generate_dataset, load_manifest,
+                      sample_primitive, save_manifest, svgplot)
+from hypcloud.synthdata import _UNSAFE_CATEGORY, _UNSAFE_ID, CATEGORY_TEMPLATES, HierarchyManifest
 
 
 # --- primitives --------------------------------------------------------------
@@ -136,6 +138,17 @@ def test_manifest_validates_on_load(tmp_path, small_manifest):
         load_manifest(path)
 
 
+def test_manifest_not_utf8_reports_line(tmp_path, small_manifest):
+    path = save_manifest(small_manifest, tmp_path / "ds")
+    lines = path.read_bytes().split(b"\n")
+    line = next(i for i, text in enumerate(lines, start=1) if b'"chair"' in text)
+    lines[line - 1] = lines[line - 1].replace(b"chair", b"ch\xffair")
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(CloudParseError, match="not UTF-8") as err:
+        load_manifest(path)
+    assert str(err.value).startswith(f"{path}:{line}: ")
+
+
 def test_manifest_invariant_checks(small_manifest):
     # duplicated id
     samples = list(small_manifest.samples)
@@ -157,10 +170,12 @@ def test_manifest_invariant_checks(small_manifest):
 
 
 @pytest.mark.parametrize("sample_id", ["chair-000,x", "chair\n000", "chair\r000", "#chair-000",
-                                       "chairs/000", "chairs\\000", 7])
+                                       "chairs/000", "chairs\\000", 7, "ch\x01air-000",
+                                       "chair\x0c000", "chair\ud800", "chair\uffff"])
 def test_manifest_rejects_unsafe_ids(small_manifest, sample_id):
     # a comma or a line break shifts the CSV rows, a leading "#" makes the
-    # row a comment, and a path separator escapes clouds/{id}.xyz
+    # row a comment, a path separator escapes clouds/{id}.xyz, and a
+    # character that XML 1.0 forbids breaks disk.svg
     samples = list(small_manifest.samples)
     i = next(i for i, s in enumerate(samples) if s.role == "part")
     samples[i] = dataclasses.replace(samples[i], id=sample_id)
@@ -168,7 +183,8 @@ def test_manifest_rejects_unsafe_ids(small_manifest, sample_id):
         HierarchyManifest(samples=samples, categories=small_manifest.categories, seed=0)
 
 
-@pytest.mark.parametrize("category", ["tables, desks", "tables\ndesks", "tables\rdesks"])
+@pytest.mark.parametrize("category", ["tables, desks", "tables\ndesks", "tables\rdesks",
+                                      "tables\x00desks", "tables\x1b", "\udfff", "\ufffe"])
 def test_manifest_rejects_unsafe_categories(small_manifest, category):
     old = small_manifest.categories[0]
     samples = [dataclasses.replace(s, category=category) if s.category == old else s
@@ -191,3 +207,17 @@ def test_manifest_keeps_safe_punctuation(tmp_path, small_manifest):
     back = load_manifest(save_manifest(manifest, tmp_path / "ds"))
     assert [(s.id, s.category, s.parent_id) for s in back.samples] == [
         (s.id, s.category, s.parent_id) for s in manifest.samples]
+
+
+def test_every_accepted_name_makes_well_formed_svg():
+    """disk.svg parses for an id and a category holding every character a
+    manifest accepts (each non-BMP one stands for the rest)."""
+    chars = [chr(c) for c in (*range(0x10000), 0x10000, 0x10FFFF)]
+    sample_id = "".join(c for c in chars if not _UNSAFE_ID.search("x" + c))
+    category = "".join(c for c in chars if not _UNSAFE_CATEGORY.search(c))
+    rows = [{"id": sample_id, "category": category, "role": "whole", "n_points": 1,
+             "hnorm": 0.5, "x": 0.1, "y": -0.2}]
+    doc = minidom.parseString(svgplot.disk_svg(rows, comment=sample_id + category))
+    (title,) = doc.getElementsByTagName("title")
+    assert title.firstChild.data == f"{sample_id} hnorm=0.5000"
+    assert category in [t.firstChild.data for t in doc.getElementsByTagName("text")]
