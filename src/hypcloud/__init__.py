@@ -11,11 +11,9 @@ from .cloud import CloudParseError, PointCloud, read_cloud, read_ply, read_xyz, 
 from .hyperbolicity import (
     DeltaReport,
     DistanceMatrix,
-    four_point_delta,
     gromov_delta,
     pairwise_distances,
     sampled_delta,
-    sampled_delta_matrix,
 )
 from .losses import (
     GradientBundle,
@@ -33,7 +31,6 @@ from .poincare import (
     BallPoint,
     Curvature,
     NumericalDomainError,
-    TangentVector,
     clip_to_ball,
     geodesic_distance,
     geodesic_distance_matrix,

@@ -68,13 +68,10 @@ def cmd_delta(args) -> dict:
         data = read_cloud(args.input).points
     if data.shape[0] < 4:
         raise UsageError(f"need at least 4 points, got {data.shape[0]}")
-    batches = {"batch_size": args.batch, "n_batches": args.trials, "seed": args.seed}
-    if args.metric == "precomputed":
-        report = hyperbolicity.sampled_delta_matrix(hyperbolicity.DistanceMatrix(data), **batches)
-    else:
-        curv = Curvature(args.k) if args.metric == "hyperbolic" else None
-        report = hyperbolicity.sampled_delta(data, args.metric, curv=curv, eps=args.eps, **batches)
-    return asdict(report)
+    curv = Curvature(args.k) if args.metric == "hyperbolic" else None
+    return asdict(hyperbolicity.sampled_delta(
+        data, args.metric, batch_size=args.batch, n_batches=args.trials, seed=args.seed,
+        curv=curv, eps=args.eps))
 
 
 def cmd_synth(args) -> dict:
@@ -186,8 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta", help="delta-hyperbolicity of a cloud, embedding CSV, "
                                      "or precomputed distance matrix")
     p.add_argument("input")
-    p.add_argument("--metric", choices=["euclidean", "hyperbolic", "precomputed"],
-                   default="euclidean")
+    p.add_argument("--metric", choices=hyperbolicity.METRICS, default="euclidean")
     p.add_argument("--batch", type=int, default=1500)
     p.add_argument("--trials", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
@@ -245,8 +241,11 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]):
     try:
         with _open_text(path) as fh:
             values = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         raise CloudParseError(path, 1, f"bad config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise CloudParseError(path, exc.lineno,
+                              f"bad config file: {exc.msg} at column {exc.colno}") from None
     if not isinstance(values, dict):
         raise CloudParseError(path, 1, "config file must hold a JSON object")
     actions = {name: {a.dest: a for a in sp._actions if a.dest not in ("help", "config")}

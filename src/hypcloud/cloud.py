@@ -114,10 +114,12 @@ def read_xyz(path) -> PointCloud:
 
 
 def write_xyz(path, cloud: PointCloud):
-    """Write an ASCII XYZ file with shortest round-trip decimal formatting."""
+    """Write an ASCII XYZ file with shortest round-trip decimal formatting
+    (the repr of each Python float), one write per block of 4096 rows."""
+    points = cloud.points
     with open(path, "w", encoding="utf-8") as fh:
-        for x, y, z in cloud.points:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
+        for lo in range(0, len(points), 4096):
+            fh.write("".join(f"{x!r} {y!r} {z!r}\n" for x, y, z in points[lo:lo + 4096].tolist()))
 
 
 def read_ply(path) -> PointCloud:

@@ -14,7 +14,7 @@ import numpy as np
 from .chamfer import euclidean_distance_matrix
 from .poincare import BALL_EPS, Curvature, clip_to_ball, geodesic_distance_matrix
 
-METRICS = ("euclidean", "hyperbolic")
+METRICS = ("euclidean", "hyperbolic", "precomputed")
 
 
 @dataclass(frozen=True)
@@ -73,8 +73,12 @@ def pairwise_distances(
     """Exact pairwise distances under the chosen metric.
 
     The hyperbolic metric first projects the rows into the ball of `curv`.
+    Under "precomputed", `points` is the distance matrix itself: it is
+    validated and returned.
     """
     points = np.asarray(points, dtype=np.float64)
+    if metric == "precomputed":
+        return DistanceMatrix(points)
     if points.ndim != 2 or points.shape[0] < 2:
         raise ValueError(f"need at least 2 points of equal dimension, got shape {points.shape}")
     if metric == "euclidean":
@@ -147,61 +151,8 @@ def gromov_delta(dm: DistanceMatrix, base: int) -> float:
     return _maxmin_delta(m)
 
 
-def four_point_delta(dm: DistanceMatrix) -> float:
-    """Exhaustive four-point delta: the maximum of gromov_delta over all bases."""
-    return max(gromov_delta(dm, b) for b in range(dm.n))
-
-
-def _sampled(n: int, submatrix, batch_size: int, n_batches: int, seed: int) -> DeltaReport:
-    """The batched protocol over n rows; `submatrix(pick)` returns the
-    DistanceMatrix of the rows in `pick`, so only the batches' are built."""
-    if batch_size < 4:
-        raise ValueError(f"batch_size must be >= 4, got {batch_size}")
-    if n_batches < 1:
-        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
-    exact = n <= batch_size
-    picks = [np.arange(n)]
-    if not exact:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(5,)))
-        picks = [np.sort(rng.choice(n, size=batch_size, replace=False)) for _ in range(n_batches)]
-    deltas, diams, rels = [], [], []
-    for pick in picks:
-        sub = submatrix(pick)
-        base = int(np.argmax(sub.d.sum(axis=1)))  # the point with the maximal distance sum
-        delta = gromov_delta(sub, base)
-        diam = float(sub.d.max())
-        deltas.append(delta)
-        diams.append(diam)
-        rels.append(2.0 * delta / diam if diam > 0 else 0.0)
-    return DeltaReport(
-        delta=float(np.mean(deltas)),
-        diameter=float(np.mean(diams)),
-        delta_rel=float(np.mean(rels)),
-        base_point=int(pick[base]),
-        batches=len(picks),
-        samples_per_batch=sub.n,
-        exact=exact,
-    )
-
-
-def sampled_delta_matrix(
-    dm: DistanceMatrix,
-    batch_size: int = 1500,
-    n_batches: int = 3,
-    seed: int = 0,
-) -> DeltaReport:
-    """Average gromov_delta over seeded uniform subsets of the matrix rows.
-
-    If the matrix has no more rows than `batch_size`, a single exact pass over
-    all points is reported instead.  delta_rel is computed against each
-    batch's own diameter, then averaged, so it stays scale-free per batch.
-    """
-    return _sampled(dm.n, lambda pick: DistanceMatrix(dm.d[np.ix_(pick, pick)]),
-                    batch_size, n_batches, seed)
-
-
 def sampled_delta(
-    points: np.ndarray,
+    data: np.ndarray,
     metric: str = "euclidean",
     batch_size: int = 1500,
     n_batches: int = 3,
@@ -209,11 +160,34 @@ def sampled_delta(
     curv: Curvature | None = None,
     eps: float = BALL_EPS,
 ) -> DeltaReport:
-    """Batched delta estimate straight from points under the chosen metric.
-
-    Equals `sampled_delta_matrix(pairwise_distances(points, ...), ...)`
-    bit-exactly, but computes only the distances of the sampled rows.
+    """Average gromov_delta over seeded uniform subsets of the rows of `data`:
+    points under `metric`, or a distance matrix, validated whole, under
+    "precomputed".  Only the batches' distances are built; with no more rows
+    than `batch_size`, one exact pass over all rows is reported.  delta_rel
+    averages each batch's 2*delta/diameter, so it stays scale-free per batch.
     """
-    points = np.asarray(points, dtype=np.float64)
-    return _sampled(len(points), lambda pick: pairwise_distances(
-        points[pick], metric, curv=curv, eps=eps), batch_size, n_batches, seed)
+    data = np.asarray(data, dtype=np.float64)
+    matrix = metric == "precomputed"
+    if matrix:
+        data = pairwise_distances(data, metric).d
+    if batch_size < 4:
+        raise ValueError(f"batch_size must be >= 4, got {batch_size}")
+    if n_batches < 1:
+        raise ValueError(f"n_batches must be >= 1, got {n_batches}")
+    n = len(data)
+    exact = n <= batch_size
+    picks = [np.arange(n)]
+    if not exact:
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(5,)))
+        picks = [np.sort(rng.choice(n, size=batch_size, replace=False)) for _ in range(n_batches)]
+    deltas, diams = [], []
+    for pick in picks:
+        sub = pairwise_distances(data[np.ix_(pick, pick)] if matrix else data[pick], metric,
+                                 curv=curv, eps=eps)
+        base = int(np.argmax(sub.d.sum(axis=1)))  # the point with the maximal distance sum
+        deltas.append(gromov_delta(sub, base))
+        diams.append(float(sub.d.max()))
+    rels = [2.0 * delta / diam if diam > 0 else 0.0 for delta, diam in zip(deltas, diams)]
+    return DeltaReport(delta=float(np.mean(deltas)), diameter=float(np.mean(diams)),
+                       delta_rel=float(np.mean(rels)), base_point=int(pick[base]),
+                       batches=len(picks), samples_per_batch=sub.n, exact=exact)

@@ -60,19 +60,6 @@ class BallPoint:
         object.__setattr__(self, "coords", coords)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A vector in the tangent space at the ball's origin."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64)
-        if coords.ndim != 1 or not np.all(np.isfinite(coords)):
-            raise ValueError("TangentVector coords must be a finite 1-D vector")
-        object.__setattr__(self, "coords", coords)
-
-
 def clip_to_ball(x: np.ndarray, curv: Curvature, eps: float = BALL_EPS) -> np.ndarray:
     """Radially clip vectors (last axis) to norm (1-eps)/sqrt(c).
 
@@ -127,9 +114,9 @@ def mobius_add(z: BallPoint, x: BallPoint, eps: float = BALL_EPS) -> BallPoint:
     return BallPoint(raw, z.curvature)
 
 
-def log_map_origin(x: BallPoint) -> TangentVector:
-    """Logarithmic map at the origin: (1/sqrt(c)) arctanh(sqrt(c)|x|) x/|x|."""
-    return TangentVector(log_maps_origin(x.coords, x.curvature))
+def log_map_origin(x: BallPoint) -> np.ndarray:
+    """Logarithmic map at the origin, (d,): (1/sqrt(c)) arctanh(sqrt(c)|x|) x/|x|."""
+    return log_maps_origin(x.coords, x.curvature)
 
 
 def geodesic_distance(x: BallPoint, y: BallPoint) -> float:

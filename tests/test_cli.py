@@ -154,6 +154,29 @@ def test_delta_star_tree_matrix(capsys, tmp_path):
     assert doc["exact"] is True
 
 
+def test_delta_asymmetric_matrix_outside_every_batch(capsys, tmp_path):
+    # the asymmetric entry (5, 7) lies outside the one batch drawn (rows 0, 2,
+    # 9 and 10 at seed 0), and the whole matrix is still checked
+    pts = np.random.default_rng(15).normal(size=(12, 3))
+    d = np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(axis=-1))
+    draws = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(5,)))
+    assert not {5, 7} & set(draws.choice(12, size=4, replace=False).tolist())
+    d[5, 7] += 0.5
+    matrix = tmp_path / "asym.txt"
+    matrix.write_text("".join(" ".join(map(repr, row)) + "\n" for row in d.tolist()))
+    code, out, err = run(capsys, ["delta", str(matrix), "--metric", "precomputed",
+                                  "--batch", "4", "--trials", "1"])
+    assert (code, out, err) == (EXIT_USAGE, "", "error: distance matrix must be symmetric\n")
+
+
+def test_delta_metric_choices(capsys, tmp_path):
+    sq = tmp_path / "sq.xyz"
+    sq.write_text("0 0 0\n1 0 0\n1 1 0\n0 1 0\n")
+    code, out, err = run(capsys, ["delta", str(sq), "--metric", "cosine"])
+    assert code == EXIT_USAGE and out == ""
+    assert "invalid choice: 'cosine' (choose from 'euclidean', 'hyperbolic', 'precomputed')" in err
+
+
 def test_delta_square_corners(capsys, tmp_path):
     sq = tmp_path / "sq.xyz"
     sq.write_text("0 0 0\n1 0 0\n1 1 0\n0 1 0\n")
@@ -411,6 +434,18 @@ def test_config_file_bad_values(capsys, tmp_path, values):
     assert code == EXIT_PARSE
     assert out == ""
     assert next(iter(values)) in err
+
+
+def test_config_file_json_error_names_its_line(capsys, tmp_path):
+    # the line of the JSON error, not line 1; a file that cannot be opened is line 1
+    cfg = tmp_path / "c3.json"
+    cfg.write_text('{\n "n_cases": 3,\n "seed": 1,,\n "h": 1e-6\n}\n')
+    code, out, err = run(capsys, ["gradcheck", "--config", str(cfg)])
+    assert (code, out) == (EXIT_PARSE, "")
+    assert err.startswith(f"error: {cfg}:3: bad config file: Expecting property name")
+    code, _, err = run(capsys, ["gradcheck", "--config", str(tmp_path / "missing.json")])
+    assert code == EXIT_PARSE
+    assert err.startswith(f"error: {tmp_path / 'missing.json'}:1: bad config file:")
 
 
 def test_config_file_values_convert_like_flags(capsys, tmp_path, clouds):

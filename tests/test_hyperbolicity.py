@@ -6,11 +6,9 @@ import pytest
 from hypcloud import (
     Curvature,
     DistanceMatrix,
-    four_point_delta,
     gromov_delta,
     pairwise_distances,
     sampled_delta,
-    sampled_delta_matrix,
 )
 
 STAR_TREE = np.array([
@@ -71,6 +69,17 @@ def test_pairwise_hyperbolic_symmetric(curv014):
         pairwise_distances(pts, "hyperbolic")
 
 
+def test_pairwise_precomputed_validates_the_matrix():
+    dm = pairwise_distances(STAR_TREE.tolist(), "precomputed")
+    assert dm.d.dtype == np.float64 and np.array_equal(dm.d, STAR_TREE)
+    asymmetric = STAR_TREE.copy()
+    asymmetric[1, 2] = 3.0
+    with pytest.raises(ValueError, match="must be symmetric"):
+        pairwise_distances(asymmetric, "precomputed")
+    with pytest.raises(ValueError, match="metric must be one of"):
+        pairwise_distances(STAR_TREE, "cosine")
+
+
 # --- gromov delta ------------------------------------------------------------
 
 def test_two_point_delta_zero():
@@ -124,7 +133,7 @@ def test_fixed_base_below_four_point():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(40, 3))
     dm = pairwise_distances(pts)
-    exhaustive = four_point_delta(dm)
+    exhaustive = four_point_delta(dm.d)
     for base in range(0, 40, 7):
         assert gromov_delta(dm, base) <= exhaustive + 1e-15
 
@@ -144,6 +153,12 @@ def _dense_maxmin(m):
 def _oracle_delta(d, base):
     m = 0.5 * (d[:, base][:, None] + d[base, :][None, :] - d)
     return max(0.0, _dense_maxmin(m))
+
+
+def four_point_delta(d):
+    """Exhaustive four-point delta of the matrix d: the dense oracle's
+    maximum over every base."""
+    return max(_oracle_delta(d, b) for b in range(d.shape[0]))
 
 
 def _symmetric(a):
@@ -180,7 +195,7 @@ def test_gromov_delta_matches_dense_oracle(family):
 
 def test_four_point_delta_matches_dense_oracle():
     d = pairwise_distances(np.random.default_rng(13).normal(size=(30, 2))).d
-    assert four_point_delta(DistanceMatrix(d)) == max(_oracle_delta(d, b) for b in range(30))
+    assert max(gromov_delta(DistanceMatrix(d), b) for b in range(30)) == four_point_delta(d)
 
 
 def test_gromov_delta_leaves_distances_untouched():
@@ -198,7 +213,7 @@ def test_sampled_tree_metric_near_zero():
     rng = np.random.default_rng(5)
     dm = random_tree_metric(rng, 40)
     for seed in (0, 1, 2):
-        report = sampled_delta_matrix(dm, batch_size=16, n_batches=4, seed=seed)
+        report = sampled_delta(dm.d, "precomputed", batch_size=16, n_batches=4, seed=seed)
         assert report.delta <= 1e-9
         assert not report.exact
 
@@ -221,7 +236,7 @@ def test_sampled_fallback_exact():
     assert report.base_point == base
     assert report.delta == gromov_delta(dm, base)
     assert report.delta_rel == pytest.approx(2 * report.delta / dm.d.max())
-    assert report.delta <= four_point_delta(dm)
+    assert report.delta <= four_point_delta(dm.d)
 
 
 def test_sampled_delta_rel_scale_free():
@@ -245,7 +260,7 @@ def test_sampled_validation():
 def test_sampled_base_point_is_input_row():
     rng = np.random.default_rng(10)
     dm = pairwise_distances(rng.normal(size=(300, 3)))
-    report = sampled_delta_matrix(dm, batch_size=40, n_batches=3, seed=2)
+    report = sampled_delta(dm.d, "precomputed", batch_size=40, n_batches=3, seed=2)
     # replay the protocol's seeded draws up to the last batch
     draws = np.random.default_rng(np.random.SeedSequence(entropy=2, spawn_key=(5,)))
     for _ in range(3):
@@ -260,4 +275,20 @@ def test_sampled_delta_matches_full_matrix(metric, curv014):
     full = pairwise_distances(pts, metric, curv=curv014)
     for batch_size in (20, 100):
         got = sampled_delta(pts, metric, batch_size=batch_size, n_batches=3, seed=4, curv=curv014)
-        assert got == sampled_delta_matrix(full, batch_size=batch_size, n_batches=3, seed=4)
+        assert got == sampled_delta(full.d, "precomputed", batch_size=batch_size, n_batches=3,
+                                    seed=4)
+
+
+def test_sampled_precomputed_checks_the_whole_matrix():
+    # rows 5 and 7 lie outside the one batch drawn (rows 0, 2, 9 and 10), yet
+    # their asymmetric entry is rejected before any batch is drawn
+    d = pairwise_distances(np.random.default_rng(15).normal(size=(12, 3))).d
+    assert sampled_delta(d, "precomputed", batch_size=4, n_batches=1).samples_per_batch == 4
+    d[5, 7] += 0.5
+    with pytest.raises(ValueError, match="must be symmetric"):
+        sampled_delta(d, "precomputed", batch_size=4, n_batches=1)
+
+
+def test_sampled_unknown_metric():
+    with pytest.raises(ValueError, match="metric must be one of"):
+        sampled_delta(np.zeros((5, 2)), "cosine")

@@ -52,9 +52,9 @@ def reg_loss(part, whole, gamma, n_points, reg_space="hyperbolic"):
 def triplet_loss(w_pos, p_pos, p_neg, margin_eps, metric="tangent"):
     """Hinge separating the anchor's own part from a foreign part by margin_eps."""
     if metric == "tangent":
-        tw = log_map_origin(w_pos).coords
-        d_pos = float(np.linalg.norm(tw - log_map_origin(p_pos).coords))
-        d_neg = float(np.linalg.norm(tw - log_map_origin(p_neg).coords))
+        tw = log_map_origin(w_pos)
+        d_pos = float(np.linalg.norm(tw - log_map_origin(p_pos)))
+        d_neg = float(np.linalg.norm(tw - log_map_origin(p_neg)))
     else:
         d_pos, d_neg = geodesic_distance(w_pos, p_pos), geodesic_distance(w_pos, p_neg)
     return max(0.0, d_pos - d_neg + margin_eps)

@@ -310,7 +310,7 @@ def _loop_rates(state, manifest):
     pairs = positive_pairs(manifest)
     parts_of = manifest.parts_by_whole()
     chains = [[norms[p.id] for p in parts_of[w.id]] + [norms[w.id]] for w in manifest.wholes()]
-    tangent = {sid: log_map_origin(BallPoint(c, state.curvature)).coords
+    tangent = {sid: log_map_origin(BallPoint(c, state.curvature))
                for sid, c in coords.items()}
     trips = evaluation_triplets(manifest, state.seed)
     trip_ok = sum(np.linalg.norm(tangent[t.whole_id] - tangent[t.pos_id])
