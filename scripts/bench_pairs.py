@@ -24,12 +24,6 @@ of each side and the per-pair ratio change/parent.
 
 from __future__ import annotations
 
-import os
-
-# One thread for every BLAS pool, as perfbench/run.py sets it, before numpy loads.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 import argparse
 import importlib.util
 import json
